@@ -10,8 +10,7 @@ agrees with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, replace
 
 from . import linalg
 from .gf import GF, gf_nullspace
@@ -31,23 +30,24 @@ class TwoCocycleSpace:
         return len(self.basis)
 
 
-def _cocycle_rows(t: Triangulation):
-    triangles = tuple(t.simplices(2))
-    idx = {s: i for i, s in enumerate(triangles)}
+def _cocycle_rows(t: Triangulation, k: int):
+    """The coboundary map on k-cochains: one row per (k+1)-simplex, one
+    column per k-simplex, the face omitting vertex r weighted (-1)^(k+1-r)."""
+    cells = tuple(t.simplices(k))
+    idx = {s: i for i, s in enumerate(cells)}
     rows = []
-    for tet in t.tetrahedra():
-        row = [0] * len(triangles)
-        for r in range(4):
-            face = tet[:r] + tet[r + 1:]
-            row[idx[face]] += (-1) ** (3 - r)
+    for s in t.simplices(k + 1):
+        row = [0] * len(cells)
+        for r in range(k + 2):
+            row[idx[s[:r] + s[r + 1:]]] += (-1) ** (k + 1 - r)
         rows.append(row)
-    return triangles, rows
+    return cells, rows
 
 
 def solve_2cocycles(t: Triangulation, ring: GF | None = None) -> TwoCocycleSpace:
     """Kernel of the tetrahedron-coboundary system over triangles; over Z
     the basis is saturated and Hermite-canonical."""
-    triangles, rows = _cocycle_rows(t)
+    triangles, rows = _cocycle_rows(t, 2)
     if not rows:
         raise ValueError("triangulation has no tetrahedra")
     if ring is None:
@@ -86,49 +86,22 @@ def cup_gram(t: Triangulation) -> IntersectionGram:
     return IntersectionGram(g, space)
 
 
-def coboundary_coordinates(t: Triangulation, space: TwoCocycleSpace) -> list[list[int]]:
-    """Coordinates, in the cocycle basis, of the coboundaries of the edge
-    indicator 1-cochains."""
-    if space.ring is not None:
-        raise ValueError("integer cocycle space required")
-    triangles = space.triangles
-    idx = {s: i for i, s in enumerate(triangles)}
-    edges = sorted({e for s in triangles for e in combinations(s, 2)})
-    z = [[space.basis[j][i] for j in range(space.dim)] for i in range(len(triangles))]
-    snf = linalg.smith_normal_form(z)
-    r = space.dim
-    if snf.rank != r or any(x != 1 for x in snf.diagonal[:r]):
-        raise AssertionError("cocycle basis should be saturated")
-    coords = []
-    for e in edges:
-        b = [0] * len(triangles)
-        for s in triangles:
-            for pos in range(3):
-                if s[:pos] + s[pos + 1:] == e:
-                    b[idx[s]] += (-1) ** pos
-        ub = linalg.mat_vec(snf.u, b)
-        if any(x != 0 for x in ub[r:]):
-            raise AssertionError("coboundary not in the cocycle space")
-        coords.append(linalg.mat_vec(snf.v, ub[:r]))
-    return coords
-
-
 def reduced_cup_invariants(t: Triangulation) -> FormInvariants:
-    """Invariants of the cup form after quotienting the cocycle lattice by
-    the saturation of the coboundary sublattice (the standard passage to
-    second cohomology)."""
+    """Invariants of the cup form on second cohomology Z^2 / B^2.
+
+    On a closed, coherently oriented complex every coboundary lies in the
+    radical of the cup Gram, since <da u b, [M]> = <a u b, d[M]> = 0.  The
+    quotient form therefore has the same nondegenerate part as the Gram on
+    the whole cocycle lattice; only the dimensions change, to
+    dim Z^2 - rank B^2 with rank B^2 the rank of the edge coboundary map.
+    """
+    if not t.is_closed():
+        raise ValueError("the cohomology cup form needs a closed triangulation")
     gram = cup_gram(t)
-    r = gram.dim
-    coords = coboundary_coordinates(t, gram.space)
-    cols = [list(c) for c in coords if any(c)]
-    _, comp = linalg.saturation_and_complement(cols, r)
-    rank = len(comp)
-    c = [[comp[j][i] for j in range(rank)] for i in range(r)]
-    ct = linalg.transpose(c)
-    reduced = linalg.mat_mul(linalg.mat_mul(ct, gram.int_matrix()), c)
-    # on a closed manifold the coboundaries lie in the radical, so this is
-    # the well-defined quotient form
-    return form_invariants(reduced)
+    _, delta1 = _cocycle_rows(t, 1)
+    dim = gram.dim - linalg.smith_normal_form(delta1).rank
+    inv = form_invariants(gram.int_matrix())
+    return replace(inv, total_dim=dim, radical_dim=dim - inv.rank)
 
 
 COMPARED_FIELDS = ("rank", "signature", "det", "parity", "factors")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -73,8 +74,15 @@ class FormInvariants:
 
 def form_invariants(g: list[list[int]]) -> FormInvariants:
     """Computable congruence invariants of a symmetric integer bilinear form,
-    taken modulo zero direct summands: radical split off, then signature,
-    determinant, parity and elementary divisors of the nondegenerate part."""
+    taken modulo zero direct summands.
+
+    G is congruent over Z to R (+) 0 with R nondegenerate (split off the
+    saturated radical), so everything is read off G itself: rank and
+    elementary divisors from the nonzero diagonal of one Smith normal form,
+    the signature from Sylvester's law of inertia, parity from G's diagonal
+    (x^T G x = sum x_i G_ii mod 2, so G is even exactly when R is), and
+    det R = (-1)^p_minus * d_1 * ... * d_r.
+    """
     n = len(g)
     for i in range(n):
         for j in range(n):
@@ -82,21 +90,13 @@ def form_invariants(g: list[list[int]]) -> FormInvariants:
                 raise ValueError("matrix is not symmetric")
     if n == 0:
         return FormInvariants(0, 0, 0, (0, 0), 1, "even", ())
-    radical = linalg.integer_kernel_basis([list(row) for row in g])
-    rad_dim = len(radical)
-    rank = n - rad_dim
-    if rank == 0:
-        return FormInvariants(n, rad_dim, 0, (0, 0), 1, "even", ())
-    comp = linalg.kernel_complement(radical, n)
-    c = [[comp[j][i] for j in range(rank)] for i in range(n)]  # n x rank
-    ct = linalg.transpose(c)
-    reduced = linalg.mat_mul(linalg.mat_mul(ct, [list(r) for r in g]), c)
-    pos, neg = linalg.inertia(reduced)
-    determinant = linalg.det(reduced)
-    parity = "even" if all(reduced[i][i] % 2 == 0 for i in range(rank)) else "odd"
-    snf = linalg.smith_normal_form(reduced)
-    factors = tuple(abs(x) for x in snf.diagonal)
-    return FormInvariants(n, rad_dim, rank, (pos, neg), determinant, parity, factors)
+    rows = [list(row) for row in g]
+    factors = tuple(x for x in linalg.smith_normal_form(rows).diagonal if x)
+    rank = len(factors)
+    pos, neg = linalg.inertia(rows)
+    determinant = (-1) ** neg * prod(factors)
+    parity = "even" if all(g[i][i] % 2 == 0 for i in range(n)) else "odd"
+    return FormInvariants(n, n - rank, rank, (pos, neg), determinant, parity, factors)
 
 
 # --- Frobenius-linked value distributions ----------------------------------

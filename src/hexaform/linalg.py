@@ -4,6 +4,12 @@ Matrices are plain lists of lists of Python ints (row-major); arbitrary
 precision comes for free.  Everything here is deterministic: the same input
 always yields the same decomposition, which downstream code relies on for
 reproducible Gram matrices.
+
+The rest of the package reads kernels, ranks and elementary divisors off
+`smith_normal_form` (kernels Hermite-canonicalised by `hermite_columns`) and
+signatures off `inertia`.  `det` (Bareiss) and `unimodular_inverse`
+(Fraction Gauss-Jordan) have no caller in the package: they are independent
+routes that the tests use as oracles.
 """
 
 from __future__ import annotations
@@ -300,43 +306,6 @@ def integer_kernel_basis(a: Matrix) -> list[list[int]]:
     r = snf.rank
     cols = [[snf.v[i][j] for i in range(n)] for j in range(r, n)]
     return hermite_columns(cols)
-
-
-def saturation_and_complement(cols: list[list[int]], n: int
-                              ) -> tuple[list[list[int]], list[list[int]]]:
-    """Saturation of the column span inside Z^n, plus a complementary basis.
-
-    With U M V = D of rank r, the first r columns of U^-1 span the
-    saturation (rational span intersected with Z^n) and the remaining
-    columns complete it to a basis of Z^n.
-    """
-    if not cols:
-        return [], [[int(i == j) for i in range(n)] for j in range(n)]
-    k = len(cols)
-    m = [[cols[j][i] for j in range(k)] for i in range(n)]
-    snf = smith_normal_form(m)
-    r = snf.rank
-    uinv = unimodular_inverse(snf.u)
-    sat = [[uinv[i][j] for i in range(n)] for j in range(r)]
-    comp = [[uinv[i][j] for i in range(n)] for j in range(r, n)]
-    return sat, comp
-
-
-def kernel_complement(kernel_cols: list[list[int]], n: int) -> list[list[int]]:
-    """Columns completing a saturated sublattice basis to a basis of Z^n.
-
-    With U K V = D = [I; 0], the first r columns of U^-1 span the same
-    sublattice as K, so the remaining columns of U^-1 form a complement.
-    """
-    if not kernel_cols:
-        return [[int(i == j) for i in range(n)] for j in range(n)]
-    r = len(kernel_cols)
-    k = [[kernel_cols[j][i] for j in range(r)] for i in range(n)]
-    snf = smith_normal_form(k)
-    if any(x != 1 for x in snf.diagonal[:r]):
-        raise ValueError("sublattice is not saturated")
-    uinv = unimodular_inverse(snf.u)
-    return [[uinv[i][j] for i in range(n)] for j in range(r, n)]
 
 
 def inertia(g: Matrix) -> tuple[int, int]:

@@ -379,8 +379,8 @@ def from_dict(doc: dict, source: str = "<dict>") -> Triangulation:
     vertices = doc["vertices"]
     if not isinstance(vertices, int) or isinstance(vertices, bool) or vertices < 0:
         raise MalformedFile(f"{source}: vertices must be an int >= 0")
-    if not isinstance(doc["pentachora"], list):
-        raise MalformedFile(f"{source}: pentachora must be a list")
+    if not isinstance(doc["pentachora"], list) or not doc["pentachora"]:
+        raise MalformedFile(f"{source}: pentachora must be a nonempty list")
     signs = doc.get("signs")
     if signs is not None and not isinstance(signs, list):
         raise MalformedFile(f"{source}: signs must be a list")
@@ -399,9 +399,13 @@ def from_dict(doc: dict, source: str = "<dict>") -> Triangulation:
             raise MalformedFile(f"{source}: signs must be +-1, one per pentachoron")
         signs = tuple(signs)
     try:
-        return Triangulation(doc["name"], tuple(pents), signs)
+        t = Triangulation(doc["name"], tuple(pents), signs)
     except TriangulationError as exc:
         raise MalformedFile(f"{source}: {exc}") from exc
+    # the cup form and every action sum assume coherent signs
+    if signs is not None and orient(t.without_signs(), 0, signs[0]).signs != signs:
+        raise NonOrientableError(f"{source}: signs are not a coherent orientation")
+    return t
 
 
 def load(path: str) -> Triangulation:

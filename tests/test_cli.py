@@ -1,14 +1,17 @@
 """CLI behaviour: reports, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from hexaform.cli import main
+from hexaform.manifolds import builtin_manifold
 from hexaform.triangulation import Triangulation, load, save
 
 SINGLE = Triangulation("one", ((0, 1, 2, 3, 4),))
 DISCONNECTED = Triangulation("two", ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -157,6 +160,20 @@ class TestExitCodes:
         assert code == 2
         assert "orientation" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("invariant", "--mode", "prob", "--p", "3"),
+        ("compare",),
+    ], ids=["prob", "compare"])
+    def test_incoherent_signs(self, capsys, tmp_path, argv):
+        s4 = builtin_manifold("s4")
+        path = tmp_path / "flipped.json"
+        path.write_text(json.dumps({
+            "name": "s4", "vertices": 6, "pentachora": [list(u) for u in s4.pentachora],
+            "signs": [-s4.signs[0], *s4.signs[1:]]}))
+        code, out, err = run(capsys, *argv, "--file", str(path))
+        assert code == 2 and out == ""
+        assert "coherent" in err
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "invariant", "--manifold", "s4", "--mode",
                            "prob", "--p", "2", "--cap", "100")
@@ -182,7 +199,9 @@ class TestExitCodes:
         b'{"name":"m","vertices":6,"pentachora":[[0,1,2,3,4]],"signs":5}',
         b'\xff\xfe{}',
         b'[' * 100_000 + b']' * 100_000,
-    ], ids=["pentachora-int", "vertices-str", "signs-int", "not-utf8", "deep-nesting"])
+        b'{"name":"m","vertices":6,"pentachora":[]}',
+    ], ids=["pentachora-int", "vertices-str", "signs-int", "not-utf8", "deep-nesting",
+            "pentachora-empty"])
     def test_malformed_documents(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_bytes(doc)
@@ -208,6 +227,20 @@ class TestDeterminism:
             _, first, _ = run(capsys, *argv)
             _, second, _ = run(capsys, *argv)
             assert first == second, argv
+
+    @pytest.mark.parametrize("name, argv", [
+        ("compare-s4", ("compare", "--manifold", "s4")),
+        ("compare-cp2", ("compare", "--manifold", "cp2")),
+        ("invariant-form-s4", ("invariant", "--manifold", "s4", "--mode", "form")),
+        ("invariant-form-cp2", ("invariant", "--manifold", "cp2", "--mode", "form")),
+        ("verify-cp2-random3-seed1",
+         ("verify", "--manifold", "cp2", "--random", "3", "--seed", "1")),
+    ])
+    def test_golden_report(self, capsys, name, argv):
+        # reports are stable API: any change to a byte is a change to the output
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
 
     def test_relabel_robustness(self, capsys, tmp_path):
         # renumbering the vertices must not change the invariants

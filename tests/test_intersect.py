@@ -1,19 +1,30 @@
 """Cup-product intersection form and the hexagon-form comparison probe."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from hexaform import linalg
-from hexaform.intersect import (COMPARED_FIELDS, coboundary_coordinates,
-                                compare_forms, cup_gram, reduced_cup_invariants,
-                                solve_2cocycles)
+from hexaform.intersect import (COMPARED_FIELDS, _cocycle_rows, compare_forms,
+                                cup_gram, reduced_cup_invariants, solve_2cocycles)
 from hexaform.gf import make_field
 from hexaform.manifolds import builtin_manifold
-from hexaform.triangulation import (Triangulation, apply_move, boundary_delta5,
-                                    find_moves, orient)
+from hexaform.triangulation import (MOVE_KINDS, Triangulation, apply_move,
+                                    boundary_delta5, find_moves, orient)
 
 SINGLE = orient(Triangulation("one", ((0, 1, 2, 3, 4),)))
+
+
+def cp2_walk(seed=11, n=6):
+    rng = random.Random(seed)
+    t = builtin_manifold("cp2")
+    for _ in range(n):
+        pool = [d for kind in MOVE_KINDS for d in find_moves(t, kind)]
+        t = apply_move(t, pool[rng.randrange(len(pool))])
+    return t
+
+
+CLOSED = [builtin_manifold("s4"), builtin_manifold("cp2"), cp2_walk()]
 
 
 def frac_rank(rows):
@@ -36,23 +47,20 @@ def frac_rank(rows):
 
 class TestSolve2Cocycles:
     def test_single_pentachoron(self):
-        from hexaform.intersect import _cocycle_rows
         space = solve_2cocycles(SINGLE)
-        triangles, rows = _cocycle_rows(SINGLE)
+        triangles, rows = _cocycle_rows(SINGLE, 2)
         assert len(triangles) == 10
         assert len(rows) == 5
         assert space.dim == 10 - frac_rank(rows)
 
     def test_zero_always_permitted(self):
-        from hexaform.intersect import _cocycle_rows
-        _, rows = _cocycle_rows(boundary_delta5())
+        _, rows = _cocycle_rows(boundary_delta5(), 2)
         assert all(sum(0 * c for c in row) == 0 for row in rows)
 
     def test_basis_in_kernel(self):
-        from hexaform.intersect import _cocycle_rows
         t = boundary_delta5()
         space = solve_2cocycles(t)
-        _, rows = _cocycle_rows(t)
+        _, rows = _cocycle_rows(t, 2)
         for vec in space.basis:
             for row in rows:
                 assert sum(c * x for c, x in zip(row, vec)) == 0
@@ -94,16 +102,41 @@ class TestCupGram:
         with pytest.raises(ValueError):
             cup_gram(boundary_delta5().without_signs())
 
+    def test_open_rejected(self):
+        # coboundaries leave the radical once the fundamental chain has a boundary
+        with pytest.raises(ValueError, match="closed"):
+            reduced_cup_invariants(SINGLE)
+
     def test_coboundaries_in_radical(self):
-        # closed manifold: coboundary vectors pair to zero with every cocycle
-        for name in ("s4", "cp2"):
-            t = builtin_manifold(name)
+        # closed manifold: each edge coboundary pairs to zero with every
+        # cocycle, on either side of the cup product
+        for t in CLOSED:
             gram = cup_gram(t)
-            coords = coboundary_coordinates(t, gram.space)
-            m = gram.int_matrix()
-            for c in coords:
-                assert linalg.mat_vec(m, c) == [0] * gram.dim
-                assert linalg.mat_vec(linalg.transpose(m), c) == [0] * gram.dim
+            idx = {s: i for i, s in enumerate(gram.space.triangles)}
+            terms = [(sign, idx[u[:3]], idx[u[2:]])
+                     for sign, u in zip(t.signs, t.pentachora)]
+
+            def cup(a, b):
+                return sum(s * a[fi] * b[ri] for s, fi, ri in terms)
+
+            assert [[cup(a, b) for b in gram.space.basis]
+                    for a in gram.space.basis] == gram.int_matrix()
+            edges, delta1 = _cocycle_rows(t, 1)
+            _, delta2 = _cocycle_rows(t, 2)
+            for e in range(len(edges)):
+                b = [row[e] for row in delta1]
+                assert all(sum(c * x for c, x in zip(row, b)) == 0 for row in delta2)
+                for z in gram.space.basis:
+                    assert cup(b, z) == 0
+                    assert cup(z, b) == 0
+
+    def test_quotient_dimension(self):
+        # dim H^2 = dim Z^2 - rank B^2, the rank over Q of the edge coboundaries
+        for t in CLOSED:
+            _, delta1 = _cocycle_rows(t, 1)
+            inv = reduced_cup_invariants(t)
+            assert inv.total_dim == solve_2cocycles(t).dim - frac_rank(delta1)
+            assert inv.radical_dim == inv.total_dim - inv.rank
 
 
 class TestCompareForms:

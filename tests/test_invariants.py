@@ -1,20 +1,79 @@
 """Form invariants and exact value-probability distributions."""
 
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexaform import linalg
 from hexaform.gf import frobenius_power, make_field
-from hexaform.hexagon import build_constraints, permitted_space
+from hexaform.hexagon import build_constraints, gram_matrix, permitted_space
 from hexaform.invariants import (CapExceeded, FormInvariants, FrobeniusSpec,
                                  distribution_equal, enumeration_cap,
                                  form_invariants, probability_distribution)
 from hexaform.manifolds import builtin_manifold
-from hexaform.triangulation import Triangulation, boundary_delta5, orient
+from hexaform.triangulation import (MOVE_KINDS, Triangulation, apply_move,
+                                    boundary_delta5, find_moves, orient)
 
 SINGLE = orient(Triangulation("one", ((0, 1, 2, 3, 4),)))
+
+
+def complement_route_invariants(g):
+    """Reference route: complete the saturated radical K to a basis of Z^n
+    with the columns of U^-1 past rank K, where U K V is K's Smith form,
+    then read every invariant off the nondegenerate block C^T G C."""
+    n = len(g)
+    radical = linalg.integer_kernel_basis(g)
+    rank = n - len(radical)
+    if rank == 0:
+        return FormInvariants(n, n, 0, (0, 0), 1, "even", ())
+    if radical:
+        k = [[col[i] for col in radical] for i in range(n)]
+        snf = linalg.smith_normal_form(k)
+        assert snf.diagonal == [1] * len(radical)
+        basis = linalg.unimodular_inverse(snf.u)
+    else:
+        basis = linalg.identity(n)
+    assert abs(linalg.det(basis)) == 1
+    c = [row[n - rank:] for row in basis]
+    reduced = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c), g), c)
+    parity = "even" if all(reduced[i][i] % 2 == 0 for i in range(rank)) else "odd"
+    factors = tuple(linalg.smith_normal_form(reduced).diagonal)
+    return FormInvariants(n, n - rank, rank, linalg.inertia(reduced),
+                          linalg.det(reduced), parity, factors)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 5))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-6, 6))
+    return g
+
+
+@st.composite
+def low_rank_forms(draw):
+    # A^T D A has rank at most k < n, and a radical that need not be
+    # spanned by unit vectors
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    a = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(k)]
+    d = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    return [[sum(a[r][i] * d[r] * a[r][j] for r in range(k)) for j in range(n)]
+            for i in range(n)]
+
+
+def cp2_walk(seed=10, n=10):
+    rng = random.Random(seed)
+    t = builtin_manifold("cp2")
+    for _ in range(n):
+        pool = [d for kind in MOVE_KINDS for d in find_moves(t, kind)]
+        t = apply_move(t, pool[rng.randrange(len(pool))])
+    return t
 
 
 class TestFormInvariants:
@@ -73,6 +132,16 @@ class TestFormInvariants:
         assert set(doc) == {"dim", "radical", "rank", "signature", "det",
                             "parity", "factors"}
         assert doc["det"] == "1"
+
+    @given(st.one_of(symmetric_matrices(), low_rank_forms()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_complement_route(self, g):
+        assert asdict(form_invariants(g)) == asdict(complement_route_invariants(g))
+
+    def test_matches_complement_route_on_hexagon_grams(self):
+        for t in (builtin_manifold("s4"), builtin_manifold("cp2"), cp2_walk()):
+            g = gram_matrix(t).int_matrix()
+            assert asdict(form_invariants(g)) == asdict(complement_route_invariants(g))
 
 
 class TestFrobeniusSpec:

@@ -97,41 +97,6 @@ class TestKernel:
             snf = linalg.smith_normal_form(mat)
             assert all(x == 1 for x in snf.diagonal[:len(basis)])
 
-    def test_complement_is_basis(self):
-        kernel = linalg.integer_kernel_basis([[2, 4, 6]])
-        comp = linalg.kernel_complement(kernel, 3)
-        full = kernel + comp
-        mat = [[full[j][i] for j in range(3)] for i in range(3)]
-        assert abs(linalg.det(mat)) == 1
-
-    def test_complement_rejects_unsaturated(self):
-        with pytest.raises(ValueError):
-            linalg.kernel_complement([[2, 0]], 2)
-
-
-class TestSaturation:
-    def test_unsaturated_column(self):
-        sat, comp = linalg.saturation_and_complement([[2, 0]], 2)
-        assert sat == [[1, 0]]
-        mat = [[v[i] for v in sat + comp] for i in range(2)]
-        assert abs(linalg.det(mat)) == 1
-
-    def test_empty(self):
-        sat, comp = linalg.saturation_and_complement([], 2)
-        assert sat == []
-        assert len(comp) == 2
-
-    @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
-                    min_size=1, max_size=3))
-    @settings(max_examples=80, deadline=None)
-    def test_saturation_properties(self, cols):
-        sat, comp = linalg.saturation_and_complement(cols, 3)
-        assert len(sat) + len(comp) == 3 or len(sat) < 3
-        full = sat + comp
-        if len(full) == 3:
-            mat = [[v[i] for v in full] for i in range(3)]
-            assert abs(linalg.det(mat)) == 1
-
 
 class TestDeterminant:
     def test_examples(self):
