@@ -122,49 +122,47 @@ class PermittedSpace:
 
 
 def solve_permitted(system: ConstraintSystem) -> PermittedSpace:
-    """Exact basis of all permitted colorings, read off one Smith
-    decomposition for every ring.
+    """Exact basis of all permitted colorings, by one sparse kernel route
+    for every ring.
 
     Each row carries exactly one y-entry, with coefficient 1.  The first
     row of a tetrahedron defines its y_t; each later row of the same
     tetrahedron minus that defining row is a row on the x-variables alone.
     The kernel of that x-only system, lifted by y = -(defining x-part) x,
-    is the kernel of the whole system.  With U A V = D for the x-only
-    matrix A, the x-kernel over Z is spanned by the columns of V past the
-    rank; over GF(p^n) by those together with the columns whose diagonal
-    entry p divides.
+    is the kernel of the whole system.  `linalg.sparse_kernel` gives the
+    x-kernel over Z, or mod p over GF(p^n): unit-pivot elimination, with a
+    Smith decomposition only of whatever rows no +-1 pivot clears.
 
     Over Z the basis is saturated and Hermite-canonical (every pivot lies
     in the x-block).  Over a finite field it is the reduction mod p of the
-    lifted columns of V: deterministic, but not in reduced-echelon form.
+    lifted kernel columns: deterministic, but not in reduced-echelon form.
     """
     nt = len(system.tets)
-    defining: dict[int, list[int]] = {}
+    defining: dict[int, dict[int, int]] = {}
     x_rows = []
     for row in system.rows:
-        ys = [j for j in range(nt) if row[nt + j]]
-        if len(ys) != 1 or row[nt + ys[0]] != 1:
+        entries = {j: v for j, v in enumerate(row) if v}
+        ys = [j for j in entries if j >= nt]
+        if len(ys) != 1 or entries.pop(ys[0]) != 1:
             raise ValueError("each constraint row needs exactly one y-entry, equal to 1")
-        t, x = ys[0], list(row[:nt])
+        t = ys[0] - nt
         if t in defining:
-            x_rows.append([a - b for a, b in zip(x, defining[t])])
+            diff = dict(entries)
+            for j, v in defining[t].items():
+                w = diff.get(j, 0) - v
+                if w:
+                    diff[j] = w
+                else:
+                    del diff[j]
+            x_rows.append(diff)
         else:
-            defining[t] = x
+            defining[t] = entries
     f = system.ring
-    if x_rows:
-        snf = linalg.smith_normal_form(x_rows)
-        diag = snf.diagonal
-        if f is None:
-            keep = range(snf.rank, nt)
-        else:
-            keep = [j for j in range(nt) if j >= len(diag) or diag[j] % f.p == 0]
-        cols = [[snf.v[i][j] for i in range(nt)] for j in keep]
-    else:
-        cols = linalg.identity(nt)
+    _, cols = linalg.sparse_kernel(x_rows, nt, None if f is None else f.p)
     if f is None:
         cols = linalg.hermite_columns(cols)
-    lift = [defining[t] for t in range(nt)]
-    basis = [x + [-y for y in linalg.mat_vec(lift, x)] for x in cols]
+    basis = [x + [-sum(v * x[j] for j, v in defining[t].items()) for t in range(nt)]
+             for x in cols]
     if f is not None:
         basis = [[f(v) for v in vec] for vec in basis]
     return PermittedSpace(f, system.tets, tuple(basis))
@@ -178,23 +176,15 @@ def permitted_space(t: Triangulation, ring: GF | None = None,
 # --- the cocycle and the action --------------------------------------------
 
 
-def _rear_front(u: Pentachoron):
-    fs = faces(u)
-    return fs[0], fs[4]
-
-
-def phi(u: Pentachoron, latin: Coloring, greek: Coloring, product=None):
+def phi(u: Pentachoron, latin: Coloring, greek: Coloring):
     """Cocycle value on one pentachoron: rear-face (x+y) of the Latin
     coloring times front-face (xi+eta) of the Greek one."""
-    rear, front = _rear_front(u)
-    a = latin.x(rear) + latin.y(rear)
-    b = greek.x(front) + greek.y(front)
-    if product is None:
-        return a * b
-    return product(a, b)
+    fs = faces(u)
+    rear, front = fs[0], fs[4]
+    return (latin.x(rear) + latin.y(rear)) * (greek.x(front) + greek.y(front))
 
 
-def phi_expanded(u: Pentachoron, latin: Coloring, greek: Coloring, product=None):
+def phi_expanded(u: Pentachoron, latin: Coloring, greek: Coloring):
     """The same value written out through the constraint rows: the Latin
     factor uses coefficients (1, -2, 1, 1, -2) on all five faces, the Greek
     factor (1, -1, 1) on the middle three."""
@@ -202,18 +192,21 @@ def phi_expanded(u: Pentachoron, latin: Coloring, greek: Coloring, product=None)
     a = (latin.x(fs[0]) - 2 * latin.x(fs[1]) + latin.x(fs[2])
          + latin.x(fs[3]) - 2 * latin.x(fs[4]))
     b = greek.x(fs[1]) - greek.x(fs[2]) + greek.x(fs[4])
-    if product is None:
-        return a * b
-    return product(a, b)
+    return a * b
 
 
-def action_value(t: Triangulation, latin: Coloring, greek: Coloring, product=None):
-    """S = sum over pentachora of sign * phi."""
+def action_value(t: Triangulation, latin: Coloring, greek: Coloring):
+    """S = sum over pentachora of sign * phi, with each face's x + y read
+    straight from the value vectors: the rear face of u is u[1:], the
+    front face u[:4]."""
     if t.signs is None:
         raise ValueError("triangulation must be oriented (signs missing)")
+    lv, li, ln = latin.values, latin._idx, len(latin.tets)
+    gv, gi, gn = greek.values, greek._idx, len(greek.tets)
     total = None
     for sign, u in zip(t.signs, t.pentachora):
-        v = phi(u, latin, greek, product)
+        i, j = li[u[1:]], gi[u[:4]]
+        v = (lv[i] + lv[ln + i]) * (gv[j] + gv[gn + j])
         v = v if sign == 1 else -v
         total = v if total is None else total + v
     return total

@@ -98,8 +98,10 @@ def reduced_cup_invariants(t: Triangulation) -> FormInvariants:
     if not t.is_closed():
         raise ValueError("the cohomology cup form needs a closed triangulation")
     gram = cup_gram(t)
-    _, delta1 = _cocycle_rows(t, 1)
-    dim = gram.dim - linalg.smith_normal_form(delta1).rank
+    edges, delta1 = _cocycle_rows(t, 1)
+    rank, _ = linalg.sparse_kernel([{j: v for j, v in enumerate(row) if v} for row in delta1],
+                                   len(edges))
+    dim = gram.dim - rank
     inv = form_invariants(gram.int_matrix())
     return replace(inv, total_dim=dim, radical_dim=dim - inv.rank)
 

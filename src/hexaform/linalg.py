@@ -1,12 +1,14 @@
-"""Exact integer linear algebra: Smith normal form, saturated kernels, inertia.
+"""Exact integer linear algebra: Smith normal form, sparse kernels, inertia.
 
 Matrices are plain lists of lists of Python ints (row-major); arbitrary
 precision comes for free.  Everything here is deterministic: the same input
 always yields the same decomposition, which downstream code relies on for
 reproducible Gram matrices.
 
-The rest of the package reads kernels, ranks and elementary divisors off
-`smith_normal_form` (kernels Hermite-canonicalised by `hermite_columns`) and
+The rest of the package reads kernels and ranks off `sparse_kernel`, which
+eliminates by +-1 pivots and leaves only the rows they cannot clear to
+`smith_normal_form` (Z kernels are then Hermite-canonicalised by
+`hermite_columns`); elementary divisors off `smith_normal_form`; and
 signatures off `inertia`.  `det` (Bareiss) and `unimodular_inverse`
 (Fraction Gauss-Jordan) have no caller in the package: they are independent
 routes that the tests use as oracles.
@@ -14,6 +16,7 @@ routes that the tests use as oracles.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -295,16 +298,99 @@ def hermite_columns(basis: list[list[int]]) -> list[list[int]]:
     return [row for row in rows[:r]]
 
 
-def integer_kernel_basis(a: Matrix) -> list[list[int]]:
-    """Saturated Z-basis (list of column vectors) of {v : A v = 0}.
+def sparse_kernel(rows: list[dict[int, int]], n: int,
+                  p: int | None = None) -> tuple[int, list[list[int]]]:
+    """Rank and kernel basis (as columns) of an integer matrix with n
+    columns, given as rows {column: nonzero entry}; over Z, or over GF(p)
+    for a prime p.
 
-    The kernel columns are read off the Smith decomposition (columns of V
-    past the rank), then Hermite-reduced to a canonical basis.
+    Greedy elimination by +-1 pivots in front of a dense Smith normal form
+    (Dumas, Saunders and Villard 2001).  The pivot column is the one in the
+    fewest live rows, then the lowest index; the pivot row is the shortest
+    live row with a unit entry there, then the first.  Every pivot step is
+    unimodular, so the kernel is that of the residual rows on the columns
+    never pivoted on, lifted by back-substitution.  Only that residual goes
+    through `smith_normal_form`: its kernel is spanned by the columns of V
+    past the rank, mod p also by those whose diagonal entry p divides.
+    Over Z the columns are a saturated basis of the kernel lattice, not
+    Hermite-reduced.
     """
-    snf = smith_normal_form(a)
-    n = len(a[0])
-    r = snf.rank
-    cols = [[snf.v[i][j] for i in range(n)] for j in range(r, n)]
+    live = {i: dict(row) for i, row in enumerate(rows) if row}
+    holders: dict[int, set[int]] = {}
+    for i, row in live.items():
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    heap = [(len(s), j) for j, s in holders.items()]
+    heapq.heapify(heap)
+    # (c, expr): x_c = sum of v * x_j over expr, whose columns outlive c
+    pivots: list[tuple[int, dict[int, int]]] = []
+    while heap:
+        count, c = heapq.heappop(heap)
+        if len(holders.get(c, ())) != count:
+            continue  # stale: the column changed after this entry was pushed
+        units = [i for i in holders[c] if live[i][c] in (1, -1)]
+        if not units:
+            continue  # an update touching the column pushes it again
+        r = min(units, key=lambda i: (len(live[i]), i))
+        prow = live.pop(r)
+        for j in prow:
+            holders[j].discard(r)
+        e = prow.pop(c)
+        for i in holders.pop(c):
+            row = live[i]
+            f = row.pop(c) * e
+            for j, v in prow.items():
+                w = row.get(j, 0) - f * v
+                if w:
+                    if j not in row:
+                        holders[j].add(i)
+                    row[j] = w
+                elif j in row:
+                    del row[j]
+                    holders[j].discard(i)
+            if not row:
+                del live[i]
+        for j in prow:
+            heapq.heappush(heap, (len(holders[j]), j))
+        pivots.append((c, {j: -e * v for j, v in prow.items()}))
+    pivoted = {c for c, _ in pivots}
+    free = [j for j in range(n) if j not in pivoted]
+    rank = len(pivots)
+    if live:
+        pos = {j: k for k, j in enumerate(free)}
+        residual = []
+        for i in sorted(live):
+            dense = [0] * len(free)
+            for j, v in live[i].items():
+                dense[pos[j]] = v
+            residual.append(dense)
+        snf = smith_normal_form(residual)
+        diag = snf.diagonal
+        if p is None:
+            keep = range(snf.rank, len(free))
+        else:
+            keep = [k for k in range(len(free)) if k >= len(diag) or diag[k] % p == 0]
+        rank += len(free) - len(keep)
+        kernel = [[snf.v[a][k] for a in range(len(free))] for k in keep]
+    else:
+        kernel = identity(len(free))
+    cols = []
+    for w in kernel:
+        x = [0] * n
+        for j, v in zip(free, w):
+            x[j] = v
+        for c, expr in reversed(pivots):
+            x[c] = sum(v * x[j] for j, v in expr.items())
+        cols.append(x)
+    return rank, cols
+
+
+def integer_kernel_basis(a: Matrix) -> list[list[int]]:
+    """Saturated Z-basis (list of column vectors) of {v : A v = 0}: the
+    `sparse_kernel` columns, Hermite-reduced to a canonical basis."""
+    if not a or not a[0]:
+        raise ValueError("matrix must be nonempty")
+    _, cols = sparse_kernel([{j: x for j, x in enumerate(row) if x} for row in a], len(a[0]))
     return hermite_columns(cols)
 
 

@@ -72,10 +72,20 @@ class Triangulation:
                 raise TriangulationError("signs length mismatch")
             if any(s not in (1, -1) for s in self.signs):
                 raise TriangulationError("signs must be +-1")
-        counts = self._tet_counts()
+        counts: dict[Tetrahedron, int] = {}
+        induced: dict[Tetrahedron, int] = {}
+        for k, u in enumerate(self.pentachora):
+            for pos, t in enumerate(faces(u)):
+                counts[t] = counts.get(t, 0) + 1
+                if self.signs is not None:
+                    induced[t] = induced.get(t, 0) + self.signs[k] * (-1) ** pos
         bad = [t for t, c in counts.items() if c > 2]
         if bad:
             raise TriangulationError(f"tetrahedron {bad[0]} shared by more than 2 pentachora")
+        # orient's local rule: the two pentachora on a tetrahedron induce
+        # opposite orientations sign * (-1)^pos on it
+        if any(v and counts[t] == 2 for t, v in induced.items()):
+            raise NonOrientableError(f"{self.name}: signs are not a coherent orientation")
 
     def _tet_counts(self) -> dict[Tetrahedron, int]:
         counts: dict[Tetrahedron, int] = {}
@@ -400,11 +410,14 @@ def from_dict(doc: dict, source: str = "<dict>") -> Triangulation:
         signs = tuple(signs)
     try:
         t = Triangulation(doc["name"], tuple(pents), signs)
+    except NonOrientableError as exc:
+        raise NonOrientableError(f"{source}: {exc}") from exc
     except TriangulationError as exc:
         raise MalformedFile(f"{source}: {exc}") from exc
-    # the cup form and every action sum assume coherent signs
-    if signs is not None and orient(t.without_signs(), 0, signs[0]).signs != signs:
-        raise NonOrientableError(f"{source}: signs are not a coherent orientation")
+    if signs is not None:
+        # coherent signs on a disconnected complex: DisconnectedError, as
+        # orient raises for a file without signs
+        orient(t.without_signs(), 0, signs[0])
     return t
 
 

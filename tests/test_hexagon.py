@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from hexaform import linalg
@@ -14,6 +15,7 @@ from hexaform.hexagon import (R_MATRIX, Coloring, ConstraintSystem, build_constr
 from hexaform.manifolds import builtin_manifold
 from hexaform.triangulation import (MOVE_KINDS, Triangulation, apply_move,
                                     boundary_delta5, faces, find_moves)
+from oracles import action_by_phi, cp2_walk, dense_kernel, forbid_smith, rank_mod
 
 SINGLE = Triangulation("one", ((0, 1, 2, 3, 4),))
 
@@ -40,6 +42,13 @@ def s4_walk(seed=5, n=5):
     return t
 
 
+def open_cp2():
+    # without a pentachoron the action is not symmetric, so rear and front
+    # faces cannot be told apart by symmetry alone
+    t = builtin_manifold("cp2")
+    return Triangulation("cp2-open", t.pentachora[1:], t.signs[1:])
+
+
 def random_coloring(space, rng, lo=-4, hi=5):
     return space.combination([rng.randrange(lo, hi) for _ in range(space.dim)])
 
@@ -47,6 +56,17 @@ def random_coloring(space, rng, lo=-4, hi=5):
 def random_gf_coloring(space, rng):
     f = space.ring
     return space.combination([f(rng.randrange(f.q)) for _ in range(space.dim)])
+
+
+def random_code_coloring(space, rng):
+    """A coloring with coefficients drawn from all of GF(q), combined on
+    field codes through the lookup tables rather than GFElem arithmetic."""
+    f = space.ring
+    add, mul = f.add_table(), f.mul_table()
+    acc = np.zeros(len(space.basis[0]), dtype=np.int64)
+    for vec in space.basis:
+        acc = add[acc, mul[rng.randrange(f.q), [v.code for v in vec]]]
+    return Coloring(space.tets, [f.from_code(int(a)) for a in acc], f)
 
 
 def test_r_matrix_constant():
@@ -105,15 +125,37 @@ class TestPermittedSpace:
 
 
 class TestSmithRoute:
-    """The y-eliminated Smith route against the full 5P x 2T system."""
+    """The y-eliminated sparse route against the full 5P x 2T system."""
 
     @pytest.mark.parametrize("make", [lambda: SINGLE, lambda: builtin_manifold("s4"),
-                                      lambda: builtin_manifold("cp2"), s4_walk],
-                             ids=["single", "s4", "cp2", "s4-walk"])
+                                      lambda: builtin_manifold("cp2"), s4_walk, cp2_walk],
+                             ids=["single", "s4", "cp2", "s4-walk", "cp2-walk"])
     def test_z_basis_is_the_full_system_kernel(self, make):
         t = make()
         rows = [list(r) for r in build_constraints(t).rows]
-        assert list(permitted_space(t).basis) == linalg.integer_kernel_basis(rows)
+        assert list(permitted_space(t).basis) == dense_kernel(rows)
+
+    @pytest.mark.parametrize("make", [lambda: builtin_manifold("cp2"), cp2_walk],
+                             ids=["cp2", "cp2-walk"])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_gf_basis_against_the_dense_rank(self, make, p):
+        t = make()
+        rows = [list(r) for r in build_constraints(t).rows]
+        space = permitted_space(t, make_field(p))
+        codes = [[v.code for v in vec] for vec in space.basis]
+        assert space.dim == 2 * len(space.tets) - rank_mod(rows, p)
+        for vec in codes:
+            assert all(x % p == 0 for x in linalg.mat_vec(rows, vec))
+        assert rank_mod(codes, p) == space.dim
+
+    @pytest.mark.parametrize("make", [lambda: builtin_manifold("s4"),
+                                      lambda: builtin_manifold("cp2"), s4_walk, cp2_walk],
+                             ids=["s4", "cp2", "s4-walk", "cp2-walk"])
+    def test_unit_pivots_leave_no_residual(self, make, monkeypatch):
+        t = make()
+        expected = permitted_space(t).basis
+        forbid_smith(monkeypatch)
+        assert permitted_space(t).basis == expected
 
     @pytest.mark.parametrize("make", [lambda: SINGLE, lambda: builtin_manifold("s4"),
                                       s4_walk], ids=["single", "s4", "s4-walk"])
@@ -207,6 +249,26 @@ class TestAction:
     def test_unoriented_rejected(self):
         with pytest.raises(ValueError):
             action_value(boundary_delta5().without_signs(), None, None)
+
+    @pytest.mark.parametrize("make", [lambda: builtin_manifold("cp2"), cp2_walk, open_cp2],
+                             ids=["cp2", "cp2-walk", "cp2-open"])
+    def test_gram_matches_sum_of_phi(self, make):
+        t = make()
+        g = gram_matrix(t)
+        cols = g.space.colorings()
+        assert [list(row) for row in g.matrix] == [[action_by_phi(t, a, b) for b in cols]
+                                                    for a in cols]
+
+    @pytest.mark.parametrize("make", [lambda: builtin_manifold("cp2"), cp2_walk, open_cp2],
+                             ids=["cp2", "cp2-walk", "cp2-open"])
+    @pytest.mark.parametrize("p,n", [(3, 1), (2, 2)])
+    def test_matches_sum_of_phi_on_random_gf_colorings(self, make, p, n):
+        t, f = make(), make_field(p, n)
+        space = permitted_space(t, f)
+        rng = random.Random(8)
+        for _ in range(20):
+            a, b = random_code_coloring(space, rng), random_code_coloring(space, rng)
+            assert action_value(t, a, b) == action_by_phi(t, a, b)
 
     def test_vanishes_on_boundary_delta5(self):
         t = boundary_delta5()

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from hexaform import linalg
 from hexaform.intersect import (COMPARED_FIELDS, _cocycle_rows, compare_forms,
                                 cup_gram, reduced_cup_invariants, solve_2cocycles)
 from hexaform.gf import make_field
 from hexaform.manifolds import builtin_manifold
 from hexaform.triangulation import (MOVE_KINDS, Triangulation, apply_move,
                                     boundary_delta5, find_moves, orient)
+import oracles
 
 SINGLE = orient(Triangulation("one", ((0, 1, 2, 3, 4),)))
 
@@ -70,6 +72,28 @@ class TestSolve2Cocycles:
         space = solve_2cocycles(boundary_delta5(), f)
         assert space.ring == f
         assert space.dim >= 1
+
+    @pytest.mark.parametrize("make", [lambda: builtin_manifold("s4"),
+                                      lambda: builtin_manifold("cp2"), oracles.cp2_walk],
+                             ids=["s4", "cp2", "cp2-walk"])
+    def test_z_basis_matches_dense_route(self, make, monkeypatch):
+        t = make()
+        _, rows = _cocycle_rows(t, 2)
+        expected = oracles.dense_kernel(rows)
+        oracles.forbid_smith(monkeypatch)
+        assert list(solve_2cocycles(t).basis) == expected
+
+    @pytest.mark.parametrize("make", [lambda: builtin_manifold("s4"),
+                                      lambda: builtin_manifold("cp2"), oracles.cp2_walk],
+                             ids=["s4", "cp2", "cp2-walk"])
+    def test_edge_coboundary_rank_matches_smith(self, make, monkeypatch):
+        edges, rows = _cocycle_rows(make(), 1)
+        expected = linalg.smith_normal_form(rows).rank
+        assert expected == frac_rank(rows)
+        oracles.forbid_smith(monkeypatch)
+        rank, _ = linalg.sparse_kernel([{j: v for j, v in enumerate(r) if v} for r in rows],
+                                       len(edges))
+        assert rank == expected
 
     def test_s4_second_cohomology_vanishes(self):
         # H^2(S^4) = 0: the reduced cup form has rank 0

@@ -14,8 +14,8 @@ from hexaform.invariants import (CapExceeded, FormInvariants, FrobeniusSpec,
                                  distribution_equal, enumeration_cap,
                                  form_invariants, probability_distribution)
 from hexaform.manifolds import builtin_manifold
-from hexaform.triangulation import (MOVE_KINDS, Triangulation, apply_move,
-                                    boundary_delta5, find_moves, orient)
+from hexaform.triangulation import Triangulation, boundary_delta5, orient
+from oracles import cp2_walk
 
 SINGLE = orient(Triangulation("one", ((0, 1, 2, 3, 4),)))
 
@@ -65,15 +65,6 @@ def low_rank_forms(draw):
     d = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
     return [[sum(a[r][i] * d[r] * a[r][j] for r in range(k)) for j in range(n)]
             for i in range(n)]
-
-
-def cp2_walk(seed=10, n=10):
-    rng = random.Random(seed)
-    t = builtin_manifold("cp2")
-    for _ in range(n):
-        pool = [d for kind in MOVE_KINDS for d in find_moves(t, kind)]
-        t = apply_move(t, pool[rng.randrange(len(pool))])
-    return t
 
 
 class TestFormInvariants:

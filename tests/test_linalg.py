@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexaform import linalg
+from oracles import dense_kernel, rank_mod
 
 
 def frac_rank(a):
@@ -96,6 +97,63 @@ class TestKernel:
             mat = [[basis[j][i] for j in range(len(basis))] for i in range(n)]
             snf = linalg.smith_normal_form(mat)
             assert all(x == 1 for x in snf.diagonal[:len(basis)])
+
+
+# rows over {0, +-1, +-2, +-3}, the first k of them without a unit entry, so
+# that the unit-pivot elimination leaves a residual for the Smith step
+@st.composite
+def mixed_matrix(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, m))
+    any_entry = st.sampled_from([0, 1, -1, 2, -2, 3, -3])
+    unit_free = st.sampled_from([0, 2, -2, 3, -3])
+    return [draw(st.lists(unit_free if i < k else any_entry, min_size=n, max_size=n))
+            for i in range(m)]
+
+
+def sparse_rows(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+class TestSparseKernel:
+    """The unit-pivot route against one dense Smith decomposition."""
+
+    def test_residual_only(self):
+        rank, cols = linalg.sparse_kernel([{0: 2, 1: 4}], 2)
+        assert rank == 1 and linalg.hermite_columns(cols) == [[2, -1]]
+        rank, cols = linalg.sparse_kernel([{0: 2, 1: 4}], 2, p=2)
+        assert rank == 0 and len(cols) == 2
+
+    def test_unit_pivots_then_residual(self):
+        # x0 = -x1 - x2 clears the first row; 2 x1 + 4 x2 is left for the SNF
+        rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 3, 2: 5}]
+        rank, cols = linalg.sparse_kernel(rows, 3)
+        assert rank == 2 and linalg.hermite_columns(cols) == [[1, -2, 1]]
+
+    def test_empty_and_zero_rows(self):
+        assert linalg.sparse_kernel([], 2) == (0, [[1, 0], [0, 1]])
+        assert linalg.sparse_kernel([{}, {1: -1}], 2) == (1, [[1, 0]])
+
+    @given(mixed_matrix())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_route_over_z(self, a):
+        rank, cols = linalg.sparse_kernel(sparse_rows(a), len(a[0]))
+        assert rank == linalg.smith_normal_form(a).rank
+        for col in cols:
+            assert linalg.mat_vec(a, col) == [0] * len(a)
+        assert linalg.hermite_columns(cols) == dense_kernel(a)
+        assert linalg.integer_kernel_basis(a) == dense_kernel(a)
+
+    @given(mixed_matrix(), st.sampled_from([2, 3, 5]))
+    @settings(max_examples=200, deadline=None)
+    def test_gf_kernel(self, a, p):
+        n = len(a[0])
+        rank, cols = linalg.sparse_kernel(sparse_rows(a), n, p)
+        assert rank == rank_mod(a, p) == n - len(dense_kernel(a, p))
+        assert len(cols) == n - rank
+        for col in cols:
+            assert all(x % p == 0 for x in linalg.mat_vec(a, col))
+        assert rank_mod(cols, p) == len(cols)
 
 
 class TestDeterminant:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -52,6 +53,34 @@ class TestValidation:
     def test_rejects_bad_signs(self):
         with pytest.raises(tri.TriangulationError):
             Triangulation("x", ((0, 1, 2, 3, 4),), (2,))
+
+    def test_rejects_incoherent_signs_in_memory(self):
+        s4 = builtin_manifold("s4")
+        with pytest.raises(tri.NonOrientableError, match="coherent"):
+            replace(s4, signs=(-s4.signs[0], *s4.signs[1:]))
+        # a sign on a tetrahedron no other pentachoron shares is free
+        assert Triangulation("x", SINGLE.pentachora, (-1,)).signs == (-1,)
+        assert replace(s4, signs=tuple(-s for s in s4.signs)).is_closed()
+
+    def test_incoherent_file_signs_keep_exit_code(self, tmp_path):
+        s4 = builtin_manifold("s4")
+        path = tmp_path / "flipped.json"
+        path.write_text(json.dumps({
+            "name": "s4", "vertices": 6, "pentachora": [list(u) for u in s4.pentachora],
+            "signs": [-s4.signs[0], *s4.signs[1:]]}))
+        with pytest.raises(tri.NonOrientableError, match=str(path)):
+            load(str(path))
+
+    def test_coherent_signs_on_disconnected_file(self, tmp_path):
+        s4 = builtin_manifold("s4")
+        far = [[v + 6 for v in u] for u in s4.pentachora]
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({
+            "name": "two", "vertices": 12,
+            "pentachora": [list(u) for u in s4.pentachora] + far,
+            "signs": list(s4.signs) * 2}))
+        with pytest.raises(tri.DisconnectedError):
+            load(str(path))
 
 
 class TestBoundaryDelta5:
