@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
             return form_invariants(g.int_matrix()), g.dim
         spec = _frobenius_spec(args)
         dist = probability_distribution(s, spec, args.model, args.cap)
-        # the enumeration ran over all q**dim colorings
+        # the distribution counts all q**dim colorings
         q, dim = spec.p ** spec.n, 0
         while q ** dim < dist.total:
             dim += 1
@@ -243,7 +243,9 @@ def _add_prob_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m2", type=int, default=None, help="second exponent (double mode)")
     p.add_argument("--model", choices=("field", "tensor"), default="field",
                    help="value model for distributions")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
+    p.add_argument("--cap", type=int, default=None,
+                   help="refuse (exit 3) when the coloring space has more points than "
+                        "this (default 10^7, or HEXAFORM_CAP)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,8 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference-cubic", action="store_true",
                    help="show the non-Frobenius cubic cocycle instead")
     p.add_argument("--check", action="store_true",
-                   help="verify the hexagon cocycle property exhaustively")
-    p.add_argument("--cap", type=int, default=None)
+                   help="decide the hexagon cocycle property exactly, by reducing the "
+                        "facet sum as a polynomial on the permitted colorings")
+    p.add_argument("--cap", type=int, default=None,
+                   help="refuse (exit 3) when the coloring space has more points than "
+                        "this (default 10^7, or HEXAFORM_CAP)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_frobenius)
 

@@ -4,14 +4,12 @@ Linking the Greek coloring half to the Latin one through Frobenius powers
 turns the bilinear pentachoron cocycle into a polynomial in the five
 face variables; this module generates those polynomials, ships the known
 cubic that no such specialization produces, and checks the hexagon
-cocycle property by exhaustive evaluation.
+cocycle property exactly, by reducing the facet sum as a polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .gf import GF
 from .invariants import CapExceeded, enumeration_cap
@@ -78,25 +76,18 @@ def reference_cubic() -> CocyclePolynomial:
     return CocyclePolynomial(2, poly)
 
 
-def _eval_poly_vec(poly: MPoly, field: GF, var_arrays: dict[str, np.ndarray],
-                   size: int) -> np.ndarray:
-    add = field.add_table()
-    mul = field.mul_table()
-    total = np.zeros(size, dtype=np.int16)
-    for exps, c in sorted(poly.terms.items()):
-        term = np.full(size, field(c).code, dtype=np.int16)
-        for name, k in zip(poly.variables, exps):
-            arr = var_arrays[name]
-            for _ in range(k):
-                term = mul[term, arr].astype(np.int16)
-        total = add[total, term].astype(np.int16)
-    return total
-
-
 def is_hexagon_cocycle(c: CocyclePolynomial, field: GF,
                        cap: int | None = None) -> bool:
-    """Exhaustively evaluate the alternating facet sum of the polynomial on
-    every permitted coloring of the boundary of the 5-simplex."""
+    """Decide whether the alternating facet sum of the polynomial vanishes
+    on every permitted coloring of the boundary of the 5-simplex.
+
+    Each face variable becomes its linear form in the d coordinates of the
+    permitted space over GF(q); the signed facet polynomials are summed
+    with every exponent reduced by x^q = x after each product.  A
+    polynomial function on GF(q)^d vanishes exactly when that reduction is
+    the zero polynomial, so the answer is exact without evaluating a
+    single coloring.  Spaces past the cap are still refused.
+    """
     if field.p != c.p:
         raise ValueError("field characteristic must match the polynomial")
     from .hexagon import permitted_space
@@ -107,21 +98,33 @@ def is_hexagon_cocycle(c: CocyclePolynomial, field: GF,
     limit = enumeration_cap(cap)
     if total > limit:
         raise CapExceeded(total, limit)
-    nt = len(space.tets)
-    # x-coordinate value array per tetrahedron, over the whole coloring space
-    from .invariants import _enumerate_functional
-    tet_vals = {}
-    for i, tet in enumerate(space.tets):
-        codes = [vec[i].code for vec in space.basis]
-        tet_vals[tet] = _enumerate_functional(field, codes)
-    add = field.add_table()
-    neg = field.neg_table()
-    acc = np.zeros(total, dtype=np.int16)
+    p, q = field.p, field.q
+    coords = tuple(f"a{i}" for i in range(d))
+    unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    # x-coordinates of the basis are reductions of integers: they lie in GF(p)
+    linear = {tet: MPoly(coords, p, {unit[i]: vec[k].code for i, vec in enumerate(space.basis)})
+              for k, tet in enumerate(space.tets)}
+    powers: dict = {}
+
+    def power(tet, e: int) -> MPoly:
+        if (tet, e) not in powers:
+            if e == 1:
+                powers[tet, e] = linear[tet]
+            else:
+                half = power(tet, e // 2)
+                out = (half * half).reduce_exponents(q)
+                if e % 2:
+                    out = (out * linear[tet]).reduce_exponents(q)
+                powers[tet, e] = out
+        return powers[tet, e]
+
+    acc = MPoly.zero(coords, p)
     for sign, u in zip(s4.signs, s4.pentachora):
-        var_arrays = {name: tet_vals[tet]
-                      for name, tet in zip(FACE_VARIABLES, faces(u))}
-        val = _eval_poly_vec(c.poly, field, var_arrays, total)
-        if sign == -1:
-            val = neg[val].astype(np.int16)
-        acc = add[acc, val].astype(np.int16)
-    return not np.any(acc)
+        face_of = dict(zip(FACE_VARIABLES, faces(u)))
+        for exps, coeff in c.poly.terms.items():
+            term = MPoly.constant(coords, sign * coeff, p)
+            for name, e in zip(c.poly.variables, exps):
+                if e:
+                    term = (term * power(face_of[name], e)).reduce_exponents(q)
+            acc = acc + term
+    return not acc

@@ -2,15 +2,14 @@
 
 Elements are stored as integer codes in [0, q): the code is the base-p
 encoding of the coefficient vector in the power basis of the modulus root.
-Small lookup tables (built lazily, as numpy arrays) back the vectorized
-enumeration in the invariants module.
+Lookup tables of the field operations are built on request, as numpy
+arrays; numpy is imported only then, so importing the package does not
+load it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
 
 Poly = tuple[int, ...]  # little-endian coefficient tuple over GF(p), no trailing zeros
 
@@ -114,7 +113,7 @@ class GF:
             raise FieldError("modulus must be monic of degree n")
         if not _irreducible(self.modulus, p):
             raise FieldError("modulus is reducible")
-        self._tables: dict[str, np.ndarray] = {}
+        self._tables: dict = {}
 
     def __repr__(self):
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
@@ -213,32 +212,36 @@ class GF:
 
     # --- lookup tables for vectorized work --------------------------------
 
-    def _table(self, name: str, build) -> np.ndarray:
+    def _table(self, name: str, build):
         if name not in self._tables:
             self._tables[name] = build()
         return self._tables[name]
 
-    def add_table(self) -> np.ndarray:
-        return self._table("add", lambda: np.array(
-            [[self.add_codes(a, b) for b in range(self.q)] for a in range(self.q)],
-            dtype=np.int64))
+    def add_table(self):
+        return self._table("add", lambda: _array(
+            [[self.add_codes(a, b) for b in range(self.q)] for a in range(self.q)]))
 
-    def mul_table(self) -> np.ndarray:
-        return self._table("mul", lambda: np.array(
-            [[self.mul_codes(a, b) for b in range(self.q)] for a in range(self.q)],
-            dtype=np.int64))
+    def mul_table(self):
+        return self._table("mul", lambda: _array(
+            [[self.mul_codes(a, b) for b in range(self.q)] for a in range(self.q)]))
 
-    def frobenius_table(self, m: int) -> np.ndarray:
-        return self._table(f"frob{m}", lambda: np.array(
-            [self.frobenius_code(a, m) for a in range(self.q)], dtype=np.int64))
+    def frobenius_table(self, m: int):
+        return self._table(f"frob{m}", lambda: _array(
+            [self.frobenius_code(a, m) for a in range(self.q)]))
 
-    def neg_table(self) -> np.ndarray:
-        return self._table("neg", lambda: np.array(
-            [self.neg_code(a) for a in range(self.q)], dtype=np.int64))
+    def neg_table(self):
+        return self._table("neg", lambda: _array(
+            [self.neg_code(a) for a in range(self.q)]))
 
-    def coeff_table(self, s: int) -> np.ndarray:
-        return self._table(f"coeff{s}", lambda: np.array(
-            [self.decode(a)[s] for a in range(self.q)], dtype=np.int64))
+    def coeff_table(self, s: int):
+        return self._table(f"coeff{s}", lambda: _array(
+            [self.decode(a)[s] for a in range(self.q)]))
+
+
+def _array(rows):
+    """An int64 numpy array of the given codes."""
+    import numpy as np
+    return np.array(rows, dtype=np.int64)
 
 
 class GFElem:

@@ -2,9 +2,12 @@
 matrix, and exact value-probability distributions over finite fields with
 Frobenius-linked colorings.
 
-Probabilities are exact rationals obtained by full enumeration of the
-permitted coloring space; past the configured cap the computation refuses
-to run rather than sample.
+Probabilities are exact rationals over the whole permitted coloring space,
+computed in closed form from the pairing matrix of the action mod p: each
+GF(p)-coordinate of the value is a quadratic form over GF(p), whose value
+counts follow from its rank and discriminant (p odd) or its Arf invariant
+(p = 2).  No coloring is enumerated; a space past the configured cap is
+still refused, as it was when the counts came from enumeration.
 """
 
 from __future__ import annotations
@@ -14,12 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-import numpy as np
-
 from . import linalg
-from .gf import GF, make_field
+from .gf import GF, _decode, make_field
 from .hexagon import permitted_space
-from .triangulation import Triangulation, faces
+from .triangulation import Triangulation
 
 DEFAULT_CAP = 10_000_000
 
@@ -178,23 +179,254 @@ class ValueDistribution:
         }
 
 
-def _functional_codes(space, field: GF, tet) -> list[int]:
-    """Codes of (x_t + y_t) on each basis vector, for one tetrahedron."""
+def _pairing_matrix(t: Triangulation, space, p: int) -> list[list[int]]:
+    """M = sum over pentachora u of sign_u * r_u^T f_u mod p, where r_u and
+    f_u hold the (x + y) codes of the rear face u[1:] and the front face
+    u[:4] on every basis vector: S(a) = phi1(a)^T M phi2(a) for the
+    coloring with basis coordinates a."""
     nt = len(space.tets)
-    i = space.tets.index(tet)
-    return [field.add_codes(vec[i].code, vec[nt + i].code) for vec in space.basis]
+    idx = {tet: i for i, tet in enumerate(space.tets)}
+    codes = [[v.code for v in vec] for vec in space.basis]
+    # the basis is the reduction of integer kernel columns, so it lies in
+    # GF(p), which every Frobenius power fixes
+    assert all(c < p for vec in codes for c in vec), "basis outside GF(p)"
+    face_rows: dict = {}
+
+    def face(tet) -> list[int]:
+        if tet not in face_rows:
+            i = idx[tet]
+            face_rows[tet] = [(vec[i] + vec[nt + i]) % p for vec in codes]
+        return face_rows[tet]
+
+    d = space.dim
+    m = [[0] * d for _ in range(d)]
+    for sign, u in zip(t.signs, t.pentachora):
+        front = [(j, x) for j, x in enumerate(face(u[:4])) if x]
+        for i, r in enumerate(face(u[1:])):
+            if r:
+                row, s = m[i], sign * r
+                for j, x in front:
+                    row[j] += s * x
+    return [[x % p for x in row] for row in m]
 
 
-def _enumerate_functional(field: GF, codes: list[int]) -> np.ndarray:
-    """Values of the linear functional with the given basis coefficients on
-    every point of the coefficient space, as an array of field codes."""
-    mul = field.mul_table()
-    add = field.add_table()
-    vals = np.zeros(1, dtype=np.int16)
-    for l in codes:
-        col = mul[:, l].astype(np.int16)          # contribution per digit choice
-        vals = add[col[:, None], vals[None, :]].reshape(-1).astype(np.int16)
-    return vals
+def _legendre(a: int, p: int) -> int:
+    a %= p
+    return 0 if a == 0 else (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
+
+
+def _diagonal(a: list[list[int]], p: int) -> list[int]:
+    """Nonzero diagonal of a congruence diagonalisation of the symmetric
+    matrix a over GF(p), p odd."""
+    a = [row[:] for row in a]
+    live = list(range(len(a)))
+    diag = []
+    while live:
+        piv = next((i for i in live if a[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in live for j in live if a[i][j]), None)
+            if pair is None:
+                break
+            # e_i <- e_i + e_j makes the (i, i) entry 2 a_ij, a unit
+            piv, j = pair
+            for k in live:
+                a[piv][k] = (a[piv][k] + a[j][k]) % p
+            for k in live:
+                a[k][piv] = (a[k][piv] + a[k][j]) % p
+        live.remove(piv)
+        row = a[piv]
+        inv = pow(row[piv], -1, p)
+        for j in live:
+            f = a[j][piv] * inv % p
+            if f:
+                aj = a[j]
+                for k in live:
+                    aj[k] = (aj[k] - f * row[k]) % p
+        diag.append(row[piv])
+    return diag
+
+
+def _odd_counts(b: list[list[int]], p: int) -> list[int]:
+    """Value counts of x^T b x on GF(p)^N, p odd, from the rank r and the
+    discriminant D of its symmetric part (Lidl-Niederreiter, Thms 6.26 and
+    6.27): a nondegenerate form in r variables takes w
+        p^(r-1) + p^((r-1)/2) eta((-1)^((r-1)/2) w D)   times, r odd,
+        p^(r-1) + v(w) p^((r-2)/2) eta((-1)^(r/2) D)     times, r even,
+    with eta the quadratic character, v(0) = p - 1 and v(w) = -1 otherwise;
+    the radical multiplies every count by p^(N - r)."""
+    n = len(b)
+    half = (p + 1) // 2
+    sym = [[(b[i][j] + b[j][i]) * half % p for j in range(n)] for i in range(n)]
+    diag = _diagonal(sym, p)
+    r = len(diag)
+    if r == 0:
+        return [p ** n] + [0] * (p - 1)
+    disc = prod(diag) % p
+    free = p ** (n - r)
+    if r % 2:
+        return [free * (p ** (r - 1) + p ** ((r - 1) // 2)
+                        * _legendre((-1) ** ((r - 1) // 2) * w * disc, p))
+                for w in range(p)]
+    eta = _legendre((-1) ** (r // 2) * disc, p)
+    return [free * (p ** (r - 1) + (p - 1 if w == 0 else -1) * p ** ((r - 2) // 2) * eta)
+            for w in range(p)]
+
+
+def _even_counts(rows: list[int]) -> list[int]:
+    """Value counts of Q(x) = x^T B x on GF(2)^N, row i of B given as a
+    bit mask (bit j set when B_ij = 1).  A symplectic reduction of the
+    polar form B + B^T splits GF(2)^N into h hyperbolic planes and a
+    radical, on which Q is linear.  Q nonzero on the radical takes 0 and 1
+    equally often; otherwise Q = 0 has 2^(N-1) + (-1)^Arf 2^(N-h-1)
+    solutions, the Arf invariant being the sum of Q(e_i) Q(f_i) over the
+    symplectic pairs."""
+    n = len(rows)
+    cols = [sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(n)]
+    polar = [r ^ c for r, c in zip(rows, cols)]
+
+    def image(mat, v: int) -> int:   # mat^T v, the XOR of the rows v selects
+        out = 0
+        while v:
+            low = v & -v
+            out ^= mat[low.bit_length() - 1]
+            v ^= low
+        return out
+
+    def q(v: int) -> int:
+        return (v & image(cols, v)).bit_count() & 1
+
+    vecs = [1 << i for i in range(n)]
+    radical = []
+    pairs = arf = 0
+    while vecs:
+        e = vecs.pop()
+        pe = image(polar, e)
+        k = next((k for k, v in enumerate(vecs) if (v & pe).bit_count() & 1), None)
+        if k is None:
+            radical.append(e)
+            continue
+        f = vecs.pop(k)
+        pf = image(polar, f)
+        arf ^= q(e) & q(f)
+        pairs += 1
+        vecs = [v ^ (e if (v & pf).bit_count() & 1 else 0) ^ (f if (v & pe).bit_count() & 1 else 0)
+                for v in vecs]
+    if any(q(w) for w in radical):
+        return [2 ** (n - 1)] * 2
+    if pairs == 0:
+        return [2 ** n, 0]
+    zeros = 2 ** (n - 1) + (-1) ** arf * 2 ** (n - pairs - 1)
+    return [zeros, 2 ** n - zeros]
+
+
+def _frobenius_matrix(field: GF, m: int) -> list[list[int]]:
+    """F with F[s][t] = coefficient s of phi_m(w^t), w the power-basis root."""
+    cols = [field.decode(field.frobenius_code(field.p ** t, m)) for t in range(field.n)]
+    return [[cols[t][s] for t in range(field.n)] for s in range(field.n)]
+
+
+def _core(m: list[list[int]], p: int) -> list[list[int]]:
+    """M restricted to the pivot columns J of [M; M^T] mod p.  The unit
+    vectors of J complement the two-sided radical R = ker M n ker M^T, so
+    in a basis of e_J and R the matrix is M[J][J] (+) 0; that change of
+    basis has GF(p) entries and commutes with every Frobenius power, so
+    each value of S is taken q^(d - |J|) times as often as on M[J][J]."""
+    rows = [row[:] for row in m] + [list(col) for col in zip(*m)]
+    pivots = []
+    for c in range(len(m)):
+        piv = next((row for row in rows if row[c]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        inv = pow(piv[c], -1, p)
+        for row in rows:
+            f = row[c] * inv % p
+            if f:
+                row[:] = [(x - f * y) % p for x, y in zip(row, piv)]
+        pivots.append(c)
+    return [[m[i][j] for j in pivots] for i in pivots]
+
+
+def _inverse_fourier(sums: list, p: int, k: int) -> list[int]:
+    """sum over c in GF(p)^k of sums[c] zeta^(-c.v), for every v, where
+    sums[c] is an element of Z[zeta] held as its integer coefficients on
+    1, zeta, ..., zeta^(p-1); every result must be an integer.  One pass
+    per digit: multiplying by zeta^(-s) rotates the coefficients by s."""
+    sums = list(sums)
+    for j in range(k):
+        stride = p ** j
+        for high in range(0, p ** k, stride * p):
+            for base in range(high, high + stride):
+                fiber = [sums[base + y * stride] for y in range(p)]
+                for v in range(p):
+                    turned = [f[y * v % p:] + f[:y * v % p] for y, f in enumerate(fiber)]
+                    sums[base + v * stride] = [sum(col) for col in zip(*turned)]
+    # the integer z is held as (z + t, t, ..., t)
+    return [s[0] - s[1] for s in sums]
+
+
+def _value_counts(m: list[list[int]], spec: FrobeniusSpec, value_model: str) -> tuple:
+    """Counts of every value of S(a) = phi1(a)^T M phi2(a) over a in
+    GF(q)^d, as sorted (key, count) pairs without zero counts.
+
+    The value has k = n (field) or n^2 (tensor) coordinates over GF(p),
+    digit j of the key.  Writing each a_i in the power basis, a functional
+    c of the value is the quadratic form with matrix M (x) F1^T C F2 on
+    GF(p)^(nd), where C is the n x n matrix of c on coefficient products:
+    c . coeffs(w^(s+t)) in the field model, c itself in the tensor model.
+    By character orthogonality, with zeta a primitive p-th root of unity,
+        p^k count(v) = sum over c in GF(p)^k of sum_w N_c(w) zeta^(w - c.v),
+    N_c(w) being the number of solutions of the form of c equal to w.  One
+    form per line through 0 gives N_c for the whole line (N_(lc)(lw) =
+    N_c(w)); the sum over c is an inverse Fourier transform over GF(p)^k."""
+    field = spec.field()
+    p, n = field.p, field.n
+    core = _core(m, p)
+    r = len(core)
+    k = n if value_model == "field" else n * n
+    f1, f2 = _frobenius_matrix(field, spec.m1), _frobenius_matrix(field, spec.m2)
+    products = [[field.decode(field.mul_codes(p ** s, p ** t)) for t in range(n)]
+                for s in range(n)]
+    # the form of c is sum_j c_j (M (x) F1^T C_j F2), C_j the matrix of digit j
+    unit_forms = []
+    for j in range(k):
+        cj = [[products[s][t][j] if value_model == "field" else int(s * n + t == j)
+               for t in range(n)] for s in range(n)]
+        kj = [[sum(f1[a][s] * cj[a][b] * f2[b][t] for a in range(n) for b in range(n)) % p
+               for t in range(n)] for s in range(n)]
+        unit_forms.append([[core[i][l] * kj[s][t] % p for l in range(r) for t in range(n)]
+                           for i in range(r) for s in range(n)])
+    if p == 2:
+        unit_forms = [[sum(x << l for l, x in enumerate(row)) for row in form]
+                      for form in unit_forms]
+    sums: list = [None] * p ** k   # sum_w N_c(w) zeta^w for every c
+    sums[0] = [p ** (n * r)] + [0] * (p - 1)
+    for code in range(1, p ** k):
+        c = _decode(code, p, k)
+        if next(x for x in c if x) != 1:
+            continue  # one functional per line
+        used = [(x, form) for x, form in zip(c, unit_forms) if x]
+        if p == 2:
+            rows = [0] * (n * r)
+            for _, form in used:
+                rows = [a ^ b for a, b in zip(rows, form)]
+            counts = _even_counts(rows)
+        else:
+            form = [[sum(x * f[i][l] for x, f in used) % p for l in range(n * r)]
+                    for i in range(n * r)]
+            counts = _odd_counts(form, p)
+        for lam in range(1, p):
+            inv = pow(lam, -1, p)
+            key = sum(x * lam % p * p ** j for j, x in enumerate(c))
+            sums[key] = [counts[w * inv % p] for w in range(p)]
+    scale = field.q ** (len(m) - r)
+    entries = []
+    for key, z in enumerate(_inverse_fourier(sums, p, k)):
+        count, rest = divmod(z, p ** k)
+        assert rest == 0 and count >= 0
+        if count:
+            entries.append((key, count * scale))
+    return tuple(entries)
 
 
 def probability_distribution(t: Triangulation, spec: FrobeniusSpec,
@@ -207,6 +439,8 @@ def probability_distribution(t: Triangulation, spec: FrobeniusSpec,
     commutes with the integer constraint matrix, so both halves stay
     permitted).  Value model "field" multiplies in GF(p^n); "tensor" takes
     coefficientwise outer products, landing in n x n matrices over GF(p).
+    The counts come in closed form from the pairing matrix mod p; the space
+    is still refused past the cap.
     """
     if value_model not in ("field", "tensor"):
         raise ValueError(f"unknown value model {value_model!r}")
@@ -219,74 +453,8 @@ def probability_distribution(t: Triangulation, spec: FrobeniusSpec,
     limit = enumeration_cap(cap)
     if total > limit:
         raise CapExceeded(total, limit)
-
-    # reference-counted per-tetrahedron value arrays
-    need: dict = {}
-    plan = []
-    for u in t.pentachora:
-        fs = faces(u)
-        rear, front = fs[0], fs[4]
-        plan.append((rear, front))
-        need[rear] = need.get(rear, 0) + 1
-        need[front] = need.get(front, 0) + 1
-    cache: dict = {}
-
-    def tet_values(tet) -> np.ndarray:
-        if tet not in cache:
-            cache[tet] = _enumerate_functional(field, _functional_codes(space, field, tet))
-        return cache[tet]
-
-    def release(tet) -> None:
-        need[tet] -= 1
-        if need[tet] == 0:
-            cache.pop(tet, None)
-
-    add = field.add_table()
-    mul = field.mul_table()
-    neg = field.neg_table()
-    fr1 = field.frobenius_table(spec.m1)
-    fr2 = field.frobenius_table(spec.m2)
-
-    if value_model == "field":
-        s_vals = np.zeros(total, dtype=np.int16)
-        for sign, (rear, front) in zip(t.signs, plan):
-            a = fr1[tet_values(rear)]
-            b = fr2[tet_values(front)]
-            release(rear)
-            release(front)
-            prod = mul[a, b]
-            if sign == -1:
-                prod = neg[prod]
-            s_vals = add[s_vals, prod].astype(np.int16)
-        counts = np.bincount(s_vals, minlength=field.q)
-        entries = tuple((int(k), int(c)) for k, c in enumerate(counts) if c)
-        return ValueDistribution("field", spec, entries, total)
-
-    # tensor model: accumulate each coefficient of the outer product mod p
-    n = field.n
-    p = field.p
-    coeff = [field.coeff_table(s) for s in range(n)]
-    acc = [[np.zeros(total, dtype=np.int16) for _ in range(n)] for _ in range(n)]
-    for sign, (rear, front) in zip(t.signs, plan):
-        a = fr1[tet_values(rear)]
-        b = fr2[tet_values(front)]
-        release(rear)
-        release(front)
-        sgn = 1 if sign == 1 else p - 1
-        a_co = [coeff[s][a] for s in range(n)]
-        b_co = [coeff[tt][b] for tt in range(n)]
-        for s in range(n):
-            for tt in range(n):
-                acc[s][tt] = (acc[s][tt] + sgn * a_co[s] * b_co[tt]) % p
-    key = np.zeros(total, dtype=np.int64)
-    weight = 1
-    for s in range(n):
-        for tt in range(n):
-            key += acc[s][tt].astype(np.int64) * weight
-            weight *= p
-    values, counts = np.unique(key, return_counts=True)
-    entries = tuple((int(k), int(c)) for k, c in zip(values, counts))
-    return ValueDistribution("tensor", spec, entries, total)
+    counts = _value_counts(_pairing_matrix(t, space, field.p), spec, value_model)
+    return ValueDistribution(value_model, spec, counts, total)
 
 
 def distribution_equal(d1: ValueDistribution, d2: ValueDistribution) -> tuple[bool, list[str]]:

@@ -28,23 +28,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return [[0] * n for _ in range(m)]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a: Matrix, v: list[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V == D with D diagonal, d_1 | d_2 | ... >= 0, U, V unimodular."""

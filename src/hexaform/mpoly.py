@@ -122,6 +122,15 @@ class MPoly:
         return MPoly(self.variables, self.p,
                      {tuple(x * k for x in e): c for e, c in self.terms.items()})
 
+    def reduce_exponents(self, q: int) -> "MPoly":
+        """The same function on GF(q)^n with every exponent at most q - 1,
+        by x^q = x: a positive e becomes ((e - 1) mod (q - 1)) + 1."""
+        t: dict[tuple, int] = {}
+        for e, c in self.terms.items():
+            key = tuple((x - 1) % (q - 1) + 1 if x else 0 for x in e)
+            t[key] = t.get(key, 0) + c
+        return MPoly(self.variables, self.p, t)
+
     def rename(self, mapping: dict[str, str], new_variables) -> "MPoly":
         new_variables = tuple(new_variables)
         idx = [new_variables.index(mapping.get(v, v)) for v in self.variables]

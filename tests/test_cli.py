@@ -1,6 +1,9 @@
 """CLI behaviour: reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -180,6 +183,14 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err
 
+    def test_cp2_answers_only_under_an_explicit_cap(self, capsys):
+        argv = ("invariant", "--manifold", "cp2", "--mode", "prob", "--p", "2")
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and str(2 ** 28) in err
+        doc = run_json(capsys, *argv, "--cap", str(2 ** 28))
+        assert doc["distribution"]["entries"] == [{"value": "0", "count": str(2 ** 27)},
+                                                  {"value": "1", "count": str(2 ** 27)}]
+
     def test_no_applicable_move(self, capsys, single_file):
         code, _, err = run(capsys, "verify", "--file", single_file,
                            "--moves", "3-3", "--mode", "prob", "--p", "2")
@@ -254,3 +265,14 @@ class TestDeterminism:
         b = run_json(capsys, "invariant", "--file", str(path))
         for key in ("rank", "signature", "det", "parity", "factors"):
             assert a["invariants"][key] == b["invariants"][key]
+
+
+def test_import_leaves_numpy_out():
+    # numpy backs only the GF lookup tables, imported when one is built
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, hexaform.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

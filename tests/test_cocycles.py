@@ -8,6 +8,7 @@ from hexaform.cocycles import (FACE_VARIABLES, GREEK_COEFFS, LATIN_COEFFS,
 from hexaform.gf import make_field
 from hexaform.invariants import CapExceeded
 from hexaform.mpoly import MPoly, linear_combination
+from oracles import enumerated_cocycle_check
 
 
 def v(name, p):
@@ -144,6 +145,46 @@ class TestIsHexagonCocycle:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             is_hexagon_cocycle(specialize(2, 0), make_field(2), cap=100)
+
+
+SPECIALIZATIONS = [(p, m1, m2) for p in (2, 3, 5) for m1 in range(3) for m2 in range(3)]
+
+
+def _perturbed(c):
+    """The polynomial plus the monomial x_jklm * x_ijkl, which is no cocycle."""
+    return CocyclePolynomial(c.p, c.poly + v("x_jklm", c.p) * v("x_ijkl", c.p))
+
+
+class TestSymbolicAgainstEnumeration:
+    @pytest.mark.parametrize("p,m1,m2", SPECIALIZATIONS)
+    def test_prime_fields(self, p, m1, m2):
+        c, f = specialize_double(p, m1, m2), make_field(p)
+        assert is_hexagon_cocycle(c, f) is enumerated_cocycle_check(c, f) is True
+        bad = _perturbed(c)
+        assert is_hexagon_cocycle(bad, f) is enumerated_cocycle_check(bad, f) is False
+
+    @pytest.mark.parametrize("m1,m2", [(m1, m2) for m1 in range(3) for m2 in range(3)])
+    def test_gf4(self, m1, m2):
+        c, f = specialize_double(2, m1, m2), make_field(2, 2)
+        assert is_hexagon_cocycle(c, f) is enumerated_cocycle_check(c, f) is True
+        bad = _perturbed(c)
+        assert is_hexagon_cocycle(bad, f) is enumerated_cocycle_check(bad, f) is False
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reference_cubic(self, n):
+        f = make_field(2, n)
+        c = reference_cubic()
+        assert is_hexagon_cocycle(c, f) is enumerated_cocycle_check(c, f) is True
+        bad = _perturbed(c)
+        assert is_hexagon_cocycle(bad, f) is enumerated_cocycle_check(bad, f) is False
+
+
+def test_reduce_exponents():
+    x, y = v("x_jklm", 3), v("x_iklm", 3)
+    # over GF(9): x^9 = x, x^10 = x^2, x^17 = x^9 = x; x^0 stays 1
+    poly = x ** 9 * y ** 17 + x ** 10 + 2
+    assert poly.reduce_exponents(9) == x * y + x ** 2 + 2
+    assert (x ** 8).reduce_exponents(9) == x ** 8
 
 
 def test_printed_form_uses_face_variable_names():

@@ -1,21 +1,24 @@
 """Form invariants and exact value-probability distributions."""
 
+import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexaform import linalg
-from hexaform.gf import frobenius_power, make_field
+import oracles
+from hexaform import invariants, linalg
+from hexaform.gf import GF, frobenius_power, make_field
 from hexaform.hexagon import build_constraints, gram_matrix, permitted_space
 from hexaform.invariants import (CapExceeded, FormInvariants, FrobeniusSpec,
                                  distribution_equal, enumeration_cap,
                                  form_invariants, probability_distribution)
 from hexaform.manifolds import builtin_manifold
 from hexaform.triangulation import Triangulation, boundary_delta5, orient
-from oracles import cp2_walk
+from oracles import (brute_force_counts, cp2_walk, enumerated_distribution,
+                     mat_mul, transpose)
 
 SINGLE = orient(Triangulation("one", ((0, 1, 2, 3, 4),)))
 
@@ -38,7 +41,7 @@ def complement_route_invariants(g):
         basis = linalg.identity(n)
     assert abs(linalg.det(basis)) == 1
     c = [row[n - rank:] for row in basis]
-    reduced = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c), g), c)
+    reduced = mat_mul(mat_mul(transpose(c), g), c)
     parity = "even" if all(reduced[i][i] % 2 == 0 for i in range(rank)) else "odd"
     factors = tuple(linalg.smith_normal_form(reduced).diagonal)
     return FormInvariants(n, n - rank, rank, linalg.inertia(reduced),
@@ -113,8 +116,8 @@ class TestFormInvariants:
                 c = rng.choice((-1, 1))
                 for row in p:
                     row[j] += c * row[i]
-            pt = linalg.transpose(p)
-            h = linalg.mat_mul(linalg.mat_mul(pt, g), p)
+            pt = transpose(p)
+            h = mat_mul(mat_mul(pt, g), p)
             assert form_invariants(g).equivalent(form_invariants(h))
             assert form_invariants(h).total_dim == 3
 
@@ -255,6 +258,106 @@ class TestProbabilityDistribution:
         for entry in doc["entries"]:
             rows = entry["value"].split(";")
             assert len(rows) == 2 and all(len(r.split(",")) == 2 for r in rows)
+
+
+SPACE_DIMS = {"one": 5, "s4": 9}
+FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+MODES = [("single", 0, 0), ("single", 0, 1), ("double", 1, 2), ("double", 2, 1)]
+# every field of FIELDS whose enumeration stays under 2^21 colorings
+ENUMERABLE = [(name, p, n) for name in SPACE_DIMS for p, n in FIELDS
+              if (p ** n) ** SPACE_DIMS[name] <= 2 ** 21]
+
+
+def _spec(p, n, mode):
+    kind, m1, m2 = mode
+    return FrobeniusSpec.single(p, n, m2) if kind == "single" else FrobeniusSpec.double(p, n, m1, m2)
+
+
+def _same_report(closed, enumerated):
+    assert closed == enumerated
+    assert (json.dumps(closed.to_json(), sort_keys=True)
+            == json.dumps(enumerated.to_json(), sort_keys=True))
+
+
+class TestClosedFormAgainstEnumeration:
+    @pytest.mark.parametrize("model", ["field", "tensor"])
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: f"{m[0]}{m[1]}{m[2]}")
+    @pytest.mark.parametrize("name,p,n", ENUMERABLE)
+    def test_single_pentachoron_and_s4(self, name, p, n, mode, model):
+        t = SINGLE if name == "one" else boundary_delta5()
+        spec = _spec(p, n, mode)
+        _same_report(probability_distribution(t, spec, model),
+                     enumerated_distribution(t, spec, model))
+
+    @pytest.mark.parametrize("model", ["field", "tensor"])
+    @pytest.mark.parametrize("p,n,k", [(2, 1, 12), (3, 1, 10), (2, 2, 8), (5, 1, 7),
+                                       (2, 3, 5), (3, 2, 5)])
+    def test_cp2_sub_bases(self, monkeypatch, p, n, k, model):
+        # cp2's pairing on the first and on the last k basis vectors: a
+        # nonzero symmetric form, which no enumerable manifold has
+        cp2 = builtin_manifold("cp2")
+        spec = FrobeniusSpec.double(p, n, 1, 2)
+        full = permitted_space(cp2, spec.field())
+        for part in (full.basis[:k], full.basis[-k:]):
+            sub = replace(full, basis=part)
+            monkeypatch.setattr(invariants, "permitted_space", lambda t, f: sub)
+            monkeypatch.setattr(oracles, "permitted_space", lambda t, f: sub)
+            closed = probability_distribution(cp2, spec, model)
+            assert len(closed.counts) > 1
+            _same_report(closed, enumerated_distribution(cp2, spec, model))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_pairings(self, data):
+        p, n = data.draw(st.sampled_from(FIELDS))
+        d = data.draw(st.integers(1, 4).filter(lambda d: (p ** n) ** d <= 6561))
+        m = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=d, max_size=d),
+                               min_size=d, max_size=d))
+        spec = FrobeniusSpec.double(p, n, data.draw(st.integers(0, 2)),
+                                    data.draw(st.integers(0, 2)))
+        model = data.draw(st.sampled_from(["field", "tensor"]))
+        assert invariants._value_counts(m, spec, model) == brute_force_counts(m, spec, model)
+
+    def test_closed_form_builds_no_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("lookup table built")
+        monkeypatch.setattr(GF, "_table", no_table)
+        probability_distribution(SINGLE, FrobeniusSpec.double(3, 2, 1, 2), "tensor")
+
+
+CP2_DISTRIBUTIONS = [
+    ((2, 1, 0), {0: Fraction(1, 2), 1: Fraction(1, 2)}),
+    ((3, 1, 0), {0: Fraction(1, 3), 1: Fraction(2, 3)}),
+    ((5, 1, 0), {0: Fraction(1, 5), 1: Fraction(2, 5), 4: Fraction(2, 5)}),
+    ((2, 2, 1), {0: Fraction(1, 4), 1: Fraction(3, 4)}),
+]
+
+
+class TestCp2Distribution:
+    """The first nonzero distributions: cp2's form is <1>, so the value is a
+    nonzero square as often as the field allows."""
+
+    @pytest.mark.parametrize("pnm,expected", CP2_DISTRIBUTIONS, ids=str)
+    def test_pinned_and_invariant_along_a_walk(self, pnm, expected):
+        spec = FrobeniusSpec.single(*pnm)
+        cp2 = builtin_manifold("cp2")
+        with pytest.raises(CapExceeded):
+            probability_distribution(cp2, spec)
+        base = probability_distribution(cp2, spec, cap=10 ** 100)
+        assert base.probabilities() == expected
+        for t in (oracles.cp2_walk(seed=3, n=4), cp2_walk()):
+            equal, diffs = distribution_equal(
+                base, probability_distribution(t, spec, cap=10 ** 100))
+            assert equal, diffs
+
+    @pytest.mark.parametrize("p,n,m", [(2, 1, 0), (3, 1, 0), (2, 2, 1), (2, 3, 1)])
+    def test_tensor_model_invariant_along_a_walk(self, p, n, m):
+        spec = FrobeniusSpec.single(p, n, m)
+        base = probability_distribution(builtin_manifold("cp2"), spec, "tensor", cap=10 ** 100)
+        assert len(base.counts) > 1
+        moved = probability_distribution(cp2_walk(), spec, "tensor", cap=10 ** 100)
+        equal, diffs = distribution_equal(base, moved)
+        assert equal, diffs
 
 
 class TestDistributionEqual:
