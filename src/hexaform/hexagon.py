@@ -1,21 +1,26 @@
 """Hexagon-relation machinery: the 5x5 constraint matrix, permitted
 colorings, the bilinear pentachoron cocycle and the action it induces.
 
-A coloring assigns a pair (x_t, y_t) to every tetrahedron t.  It is
-permitted when, on every pentachoron, the y-column equals the constraint
-matrix applied to the x-column (faces taken in inverse lexicographic
-order).  The pentachoron cocycle multiplies a rear-face quantity of one
-coloring with a front-face quantity of another; summing over pentachora
-with orientation signs gives the action.
+A coloring assigns a pair (x_t, y_t) to every tetrahedron t, held as one
+value vector: the x-block, then the y-block, tetrahedra sorted
+lexicographically.  It is permitted when, on every pentachoron, the
+y-column equals the constraint matrix applied to the x-column (faces taken
+in inverse lexicographic order).  The pentachoron cocycle multiplies the
+(x+y) of one coloring on the rear face u[1:] with the (x+y) of another on
+the front face u[:4]; summing over pentachora with orientation signs gives
+the action S.  On a basis, S(a, b) is the dot product of a's signed
+rear-face vector with b's front-face vector, so the Gram matrix is the
+product R^T F of the two face matrices (`face_vectors`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .gf import GF
-from .triangulation import Triangulation, Pentachoron, faces
+from .triangulation import Triangulation, faces
 
 # rows: coefficients producing y_t on each face from the five x-values
 R_MATRIX: tuple[tuple[int, ...], ...] = (
@@ -63,34 +68,6 @@ def build_constraints(t: Triangulation, ring: GF | None = None,
     return ConstraintSystem(t, tets, tuple(rows), ring)
 
 
-class Coloring:
-    """A (x_t, y_t) assignment over Z or a finite field."""
-
-    __slots__ = ("tets", "_idx", "values", "ring")
-
-    def __init__(self, tets, values, ring: GF | None = None):
-        self.tets = tuple(tets)
-        self._idx = {tet: i for i, tet in enumerate(self.tets)}
-        if len(values) != 2 * len(self.tets):
-            raise ValueError("value vector must have length 2 * #tetrahedra")
-        self.values = list(values)
-        self.ring = ring
-
-    def x(self, tet):
-        return self.values[self._idx[tet]]
-
-    def y(self, tet):
-        return self.values[len(self.tets) + self._idx[tet]]
-
-    def map(self, f) -> "Coloring":
-        return Coloring(self.tets, [f(v) for v in self.values], self.ring)
-
-    @classmethod
-    def zero(cls, tets, ring: GF | None = None):
-        z = ring.zero if ring is not None else 0
-        return cls(tets, [z] * (2 * len(tuple(tets))), ring)
-
-
 @dataclass(frozen=True)
 class PermittedSpace:
     """Basis of the solution module/space of a constraint system."""
@@ -102,23 +79,6 @@ class PermittedSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def coloring(self, i: int) -> Coloring:
-        return Coloring(self.tets, self.basis[i], self.ring)
-
-    def colorings(self):
-        return [self.coloring(i) for i in range(self.dim)]
-
-    def combination(self, coeffs) -> Coloring:
-        if len(coeffs) != self.dim:
-            raise ValueError("coefficient count mismatch")
-        n = 2 * len(self.tets)
-        if self.ring is None:
-            vals = [sum(c * b[k] for c, b in zip(coeffs, self.basis)) for k in range(n)]
-        else:
-            vals = [sum((c * b[k] for c, b in zip(coeffs, self.basis)),
-                        self.ring.zero) for k in range(n)]
-        return Coloring(self.tets, vals, self.ring)
 
 
 def solve_permitted(system: ConstraintSystem) -> PermittedSpace:
@@ -176,40 +136,28 @@ def permitted_space(t: Triangulation, ring: GF | None = None,
 # --- the cocycle and the action --------------------------------------------
 
 
-def phi(u: Pentachoron, latin: Coloring, greek: Coloring):
-    """Cocycle value on one pentachoron: rear-face (x+y) of the Latin
-    coloring times front-face (xi+eta) of the Greek one."""
-    fs = faces(u)
-    rear, front = fs[0], fs[4]
-    return (latin.x(rear) + latin.y(rear)) * (greek.x(front) + greek.y(front))
-
-
-def phi_expanded(u: Pentachoron, latin: Coloring, greek: Coloring):
-    """The same value written out through the constraint rows: the Latin
-    factor uses coefficients (1, -2, 1, 1, -2) on all five faces, the Greek
-    factor (1, -1, 1) on the middle three."""
-    fs = faces(u)
-    a = (latin.x(fs[0]) - 2 * latin.x(fs[1]) + latin.x(fs[2])
-         + latin.x(fs[3]) - 2 * latin.x(fs[4]))
-    b = greek.x(fs[1]) - greek.x(fs[2]) + greek.x(fs[4])
-    return a * b
-
-
-def action_value(t: Triangulation, latin: Coloring, greek: Coloring):
-    """S = sum over pentachora of sign * phi, with each face's x + y read
-    straight from the value vectors: the rear face of u is u[1:], the
-    front face u[:4]."""
+def face_vectors(t: Triangulation, tets, vectors) -> tuple[list, list]:
+    """Per-pentachoron face values of each value vector: the signed rear
+    values sign_u * (x+y) on u[1:] and the front values (x+y) on u[:4],
+    one list over the pentachora of t per vector."""
     if t.signs is None:
         raise ValueError("triangulation must be oriented (signs missing)")
-    lv, li, ln = latin.values, latin._idx, len(latin.tets)
-    gv, gi, gn = greek.values, greek._idx, len(greek.tets)
-    total = None
-    for sign, u in zip(t.signs, t.pentachora):
-        i, j = li[u[1:]], gi[u[:4]]
-        v = (lv[i] + lv[ln + i]) * (gv[j] + gv[gn + j])
-        v = v if sign == 1 else -v
-        total = v if total is None else total + v
-    return total
+    nt = len(tets)
+    idx = {tet: i for i, tet in enumerate(tets)}
+    rear_at = [idx[u[1:]] for u in t.pentachora]
+    front_at = [idx[u[:4]] for u in t.pentachora]
+    rears, fronts = [], []
+    for vec in vectors:
+        s = [vec[i] + vec[nt + i] for i in range(nt)]
+        rears.append([s[i] if sign == 1 else -s[i] for sign, i in zip(t.signs, rear_at)])
+        fronts.append([s[j] for j in front_at])
+    return rears, fronts
+
+
+def action_value(rear: list, front: list):
+    """S(a, b) = sum over pentachora of sign * phi, as the dot product of
+    a's signed rear-face values with b's front-face values."""
+    return sum(map(mul, rear, front))
 
 
 @dataclass(frozen=True)
@@ -229,37 +177,9 @@ def gram_matrix(t: Triangulation, ring: GF | None = None,
                 r_matrix=R_MATRIX) -> GramResult:
     """Gram matrix of the action on the canonical permitted basis."""
     space = permitted_space(t, ring, r_matrix)
-    cols = space.colorings()
-    g = tuple(tuple(action_value(t, a, b) for b in cols) for a in cols)
+    rears, fronts = face_vectors(t, space.tets, space.basis)
+    g = tuple(tuple(action_value(r, f) for f in fronts) for r in rears)
     return GramResult(g, space)
-
-
-# --- symmetry coboundary ----------------------------------------------------
-
-
-def coboundary_terms(u: Pentachoron, latin: Coloring, greek: Coloring):
-    """Per-face terms (x_t + y_t) * eta_t.  On permitted colorings their
-    alternating sum over the five faces equals phi(greek, latin) minus
-    phi(latin, greek), so the action's asymmetry is a coboundary."""
-    return [(latin.x(tet) + latin.y(tet)) * greek.y(tet) for tet in faces(u)]
-
-
-def coboundary_terms_alt(u: Pentachoron, latin: Coloring, greek: Coloring):
-    """Second form of the same coboundary: terms -y_t * (xi_t + eta_t)."""
-    return [-(latin.y(tet) * (greek.x(tet) + greek.y(tet))) for tet in faces(u)]
-
-
-def symmetry_defect(t: Triangulation, latin: Coloring, greek: Coloring) -> dict:
-    """Accumulated per-tetrahedron coboundary terms of the action's
-    asymmetry; every entry vanishes on a closed oriented triangulation."""
-    if t.signs is None:
-        raise ValueError("triangulation must be oriented (signs missing)")
-    acc: dict = {}
-    for sign, u in zip(t.signs, t.pentachora):
-        for pos, (tet, term) in enumerate(zip(faces(u), coboundary_terms(u, latin, greek))):
-            contrib = term * (sign * (-1) ** pos)
-            acc[tet] = acc.get(tet, 0 * contrib) + contrib
-    return acc
 
 
 def verify_cocycle(ring: GF | None = None, r_matrix=R_MATRIX) -> dict:

@@ -8,8 +8,9 @@ operations return new values; nothing is mutated in place.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 
 Pentachoron = tuple[int, int, int, int, int]
 Tetrahedron = tuple[int, int, int, int]
@@ -182,8 +183,20 @@ class MoveDescriptor:
             raise MoveError("six_vertices must be 6 distinct ids")
 
 
-def _move_parts(t: Triangulation, d: MoveDescriptor):
-    """Validate a move descriptor against t; return (before, after) facets."""
+def _incidence(pentachora) -> tuple[Counter, dict]:
+    """The number of pentachora containing each simplex of dimension 0-3,
+    and the indices at which each pentachoron occurs."""
+    counts = Counter(chain.from_iterable(combinations(u, r) for u in pentachora
+                                         for r in range(1, 5)))
+    index: dict[Pentachoron, list[int]] = {}
+    for i, u in enumerate(pentachora):
+        index.setdefault(u, []).append(i)
+    return counts, index
+
+
+def _move_parts(t: Triangulation, d: MoveDescriptor, counts: Counter, index: dict):
+    """Validate a move descriptor against t, given `_incidence(t.pentachora)`;
+    return (before, after) facets."""
     k = MOVE_KINDS[d.kind]
     n = len(t.pentachora)
     if len(set(d.target)) != k or any(i < 0 or i >= n for i in d.target):
@@ -201,30 +214,36 @@ def _move_parts(t: Triangulation, d: MoveDescriptor):
         raise ConfigurationNotFound("target pentachora are not distinct facets")
     if d.kind == "1-5":
         fresh = omitted[0]
-        if fresh in t.vertex_ids:
+        if counts[(fresh,)]:
             raise StaleVertex(f"new vertex {fresh} already present")
-    rest = [u for i, u in enumerate(t.pentachora) if i not in d.target]
+    o_set = set(omitted)
+
+    def outside(sigma: set) -> int:
+        # pentachora containing sigma (a subset of six) that the move leaves
+        # in place: a target contains sigma unless it omits a vertex of sigma
+        return counts.get(tuple(sorted(sigma)), 0) - (k - len(sigma & o_set))
+
     if d.kind == "5-1":
-        (gone,) = six_set - set(omitted)
-        if any(gone in u for u in rest):
+        (gone,) = six_set - o_set
+        if outside({gone}):
             raise LinkConditionViolation(f"vertex {gone} still used outside the move support")
     # simplices interior to the union of the before facets must not meet the
     # rest of the triangulation, and simplices that become interior to the
     # replacement union must not pre-exist there either
-    o_set = set(omitted)
     for core, extras in ((six_set - o_set, o_set), (o_set, six_set - o_set)):
         for extra in range(0, 5 - len(core)):
             for s in combinations(sorted(extras), extra):
                 sigma = core | set(s)
                 if not sigma or len(sigma) > 4 or set(s) == extras:
                     continue
-                for u in rest:
-                    if sigma <= set(u):
-                        raise LinkConditionViolation(
-                            f"interior simplex {tuple(sorted(sigma))} meets pentachoron {u}")
+                if outside(sigma):
+                    u = next(u for i, u in enumerate(t.pentachora)
+                             if i not in d.target and sigma <= set(u))
+                    raise LinkConditionViolation(
+                        f"interior simplex {tuple(sorted(sigma))} meets pentachoron {u}")
     after = [tuple(v for v in six if v != o) for o in sorted(six_set - o_set)]
     for u in after:
-        if u in t.pentachora:
+        if u in index:
             raise LinkConditionViolation(f"replacement pentachoron {u} already present")
     return before, after
 
@@ -233,7 +252,7 @@ def apply_move(t: Triangulation, d: MoveDescriptor) -> Triangulation:
     """Replace the k target pentachora by the complementary 6-k facets of
     the same del-Delta^5.  Orientation signs are re-propagated from a
     surviving pentachoron when the input carries signs."""
-    _, after = _move_parts(t, d)
+    _, after = _move_parts(t, d, *_incidence(t.pentachora))
     target = set(d.target)
     kept = [(i, u) for i, u in enumerate(t.pentachora) if i not in target]
     new_pents = sorted([u for _, u in kept] + after)
@@ -253,13 +272,14 @@ def find_moves(t: Triangulation, kind: str) -> list[MoveDescriptor]:
     if kind not in MOVE_KINDS:
         raise MoveError(f"unknown move kind {kind!r}")
     k = MOVE_KINDS[kind]
+    counts, index = _incidence(t.pentachora)
     out = []
     if kind == "1-5":
         fresh = (max(t.vertex_ids) + 1) if t.pentachora else 0
         for i, u in enumerate(t.pentachora):
             d = MoveDescriptor(kind, (i,), tuple(sorted(u + (fresh,))))
             try:
-                _move_parts(t, d)
+                _move_parts(t, d, counts, index)
             except MoveError:
                 continue
             out.append(d)
@@ -268,14 +288,13 @@ def find_moves(t: Triangulation, kind: str) -> list[MoveDescriptor]:
     six_sets = sorted({tuple(sorted(set(u) | {w}))
                        for u in t.pentachora for w in verts if w not in u})
     for six in six_sets:
-        six_set = set(six)
-        present = [i for i, u in enumerate(t.pentachora) if set(u) <= six_set]
+        present = sorted(i for f in combinations(six, 5) for i in index.get(f, ()))
         if len(present) < k:
             continue
         for combo in combinations(present, k):
             d = MoveDescriptor(kind, combo, six)
             try:
-                _move_parts(t, d)
+                _move_parts(t, d, counts, index)
             except MoveError:
                 continue
             out.append(d)

@@ -3,16 +3,19 @@ and the seeded inputs they share."""
 
 import random
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from hexaform import linalg
 from hexaform.gf import GF
-from hexaform.hexagon import permitted_space, phi
+from hexaform.hexagon import action_value, face_vectors, permitted_space
 from hexaform.invariants import (CapExceeded, FrobeniusSpec, ValueDistribution,
                                  enumeration_cap)
 from hexaform.manifolds import builtin_manifold
-from hexaform.triangulation import (MOVE_KINDS, Triangulation, apply_move,
+from hexaform.triangulation import (MOVE_KINDS, ConfigurationNotFound,
+                                    LinkConditionViolation, MoveDescriptor, MoveError,
+                                    StaleVertex, Triangulation, apply_move,
                                     boundary_delta5, faces, find_moves)
 
 
@@ -71,6 +74,76 @@ def rank_mod(rows, p):
     return rank
 
 
+# --- colorings as objects, and the cocycle term by term --------------------
+
+
+class Coloring:
+    """A (x_t, y_t) assignment over Z or a finite field."""
+
+    __slots__ = ("tets", "_idx", "values", "ring")
+
+    def __init__(self, tets, values, ring: GF | None = None):
+        self.tets = tuple(tets)
+        self._idx = {tet: i for i, tet in enumerate(self.tets)}
+        if len(values) != 2 * len(self.tets):
+            raise ValueError("value vector must have length 2 * #tetrahedra")
+        self.values = list(values)
+        self.ring = ring
+
+    def x(self, tet):
+        return self.values[self._idx[tet]]
+
+    def y(self, tet):
+        return self.values[len(self.tets) + self._idx[tet]]
+
+    def map(self, f) -> "Coloring":
+        return Coloring(self.tets, [f(v) for v in self.values], self.ring)
+
+    @classmethod
+    def zero(cls, tets, ring: GF | None = None):
+        z = ring.zero if ring is not None else 0
+        return cls(tets, [z] * (2 * len(tuple(tets))), ring)
+
+
+def coloring(space, i: int) -> Coloring:
+    return Coloring(space.tets, space.basis[i], space.ring)
+
+
+def colorings(space) -> list[Coloring]:
+    return [coloring(space, i) for i in range(space.dim)]
+
+
+def combination(space, coeffs) -> Coloring:
+    if len(coeffs) != space.dim:
+        raise ValueError("coefficient count mismatch")
+    n = 2 * len(space.tets)
+    if space.ring is None:
+        vals = [sum(c * b[k] for c, b in zip(coeffs, space.basis)) for k in range(n)]
+    else:
+        vals = [sum((c * b[k] for c, b in zip(coeffs, space.basis)),
+                    space.ring.zero) for k in range(n)]
+    return Coloring(space.tets, vals, space.ring)
+
+
+def phi(u, latin: Coloring, greek: Coloring):
+    """Cocycle value on one pentachoron: rear-face (x+y) of the Latin
+    coloring times front-face (xi+eta) of the Greek one."""
+    fs = faces(u)
+    rear, front = fs[0], fs[4]
+    return (latin.x(rear) + latin.y(rear)) * (greek.x(front) + greek.y(front))
+
+
+def phi_expanded(u, latin: Coloring, greek: Coloring):
+    """The same value written out through the constraint rows: the Latin
+    factor uses coefficients (1, -2, 1, 1, -2) on all five faces, the Greek
+    factor (1, -1, 1) on the middle three."""
+    fs = faces(u)
+    a = (latin.x(fs[0]) - 2 * latin.x(fs[1]) + latin.x(fs[2])
+         + latin.x(fs[3]) - 2 * latin.x(fs[4]))
+    b = greek.x(fs[1]) - greek.x(fs[2]) + greek.x(fs[4])
+    return a * b
+
+
 def action_by_phi(t, latin, greek):
     """The action as the sum over pentachora of sign * phi, through the
     Coloring accessors."""
@@ -80,6 +153,45 @@ def action_by_phi(t, latin, greek):
         v = v if sign == 1 else -v
         total = v if total is None else total + v
     return total
+
+
+def action_of(t, latin: Coloring, greek: Coloring):
+    """The package's S on two colorings: the Latin rear-face vector dotted
+    with the Greek front-face vector."""
+    assert latin.tets == greek.tets
+    rears, fronts = face_vectors(t, latin.tets, [latin.values, greek.values])
+    return action_value(rears[0], fronts[1])
+
+
+def gram_by_phi(t, space) -> list[list]:
+    """The Gram matrix entry by entry from `action_by_phi`."""
+    cols = colorings(space)
+    return [[action_by_phi(t, a, b) for b in cols] for a in cols]
+
+
+def coboundary_terms(u, latin: Coloring, greek: Coloring):
+    """Per-face terms (x_t + y_t) * eta_t.  On permitted colorings their
+    alternating sum over the five faces equals phi(greek, latin) minus
+    phi(latin, greek), so the action's asymmetry is a coboundary."""
+    return [(latin.x(tet) + latin.y(tet)) * greek.y(tet) for tet in faces(u)]
+
+
+def coboundary_terms_alt(u, latin: Coloring, greek: Coloring):
+    """Second form of the same coboundary: terms -y_t * (xi_t + eta_t)."""
+    return [-(latin.y(tet) * (greek.x(tet) + greek.y(tet))) for tet in faces(u)]
+
+
+def symmetry_defect(t: Triangulation, latin: Coloring, greek: Coloring) -> dict:
+    """Accumulated per-tetrahedron coboundary terms of the action's
+    asymmetry; every entry vanishes on a closed oriented triangulation."""
+    if t.signs is None:
+        raise ValueError("triangulation must be oriented (signs missing)")
+    acc: dict = {}
+    for sign, u in zip(t.signs, t.pentachora):
+        for pos, (tet, term) in enumerate(zip(faces(u), coboundary_terms(u, latin, greek))):
+            contrib = term * (sign * (-1) ** pos)
+            acc[tet] = acc.get(tet, 0 * contrib) + contrib
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -272,3 +384,89 @@ def enumerated_cocycle_check(c, field: GF) -> bool:
         val = table[index]
         acc = add[acc, val if sign == 1 else neg[val]]
     return not np.any(acc)
+
+
+# --- move search by scanning every pentachoron ---------------------------
+
+
+def scan_move_parts(t: Triangulation, d: MoveDescriptor):
+    """Validate a move descriptor against t by scanning every pentachoron;
+    return (before, after) facets."""
+    k = MOVE_KINDS[d.kind]
+    n = len(t.pentachora)
+    if len(set(d.target)) != k or any(i < 0 or i >= n for i in d.target):
+        raise ConfigurationNotFound("target indices invalid")
+    six = tuple(sorted(d.six_vertices))
+    six_set = set(six)
+    before = [t.pentachora[i] for i in d.target]
+    omitted = []
+    for u in before:
+        if not set(u) <= six_set:
+            raise ConfigurationNotFound(f"pentachoron {u} not supported on {six}")
+        (o,) = six_set - set(u)
+        omitted.append(o)
+    if len(set(omitted)) != k:
+        raise ConfigurationNotFound("target pentachora are not distinct facets")
+    if d.kind == "1-5":
+        fresh = omitted[0]
+        if fresh in t.vertex_ids:
+            raise StaleVertex(f"new vertex {fresh} already present")
+    rest = [u for i, u in enumerate(t.pentachora) if i not in d.target]
+    if d.kind == "5-1":
+        (gone,) = six_set - set(omitted)
+        if any(gone in u for u in rest):
+            raise LinkConditionViolation(f"vertex {gone} still used outside the move support")
+    # simplices interior to the union of the before facets must not meet the
+    # rest of the triangulation, and simplices that become interior to the
+    # replacement union must not pre-exist there either
+    o_set = set(omitted)
+    for core, extras in ((six_set - o_set, o_set), (o_set, six_set - o_set)):
+        for extra in range(0, 5 - len(core)):
+            for s in combinations(sorted(extras), extra):
+                sigma = core | set(s)
+                if not sigma or len(sigma) > 4 or set(s) == extras:
+                    continue
+                for u in rest:
+                    if sigma <= set(u):
+                        raise LinkConditionViolation(
+                            f"interior simplex {tuple(sorted(sigma))} meets pentachoron {u}")
+    after = [tuple(v for v in six if v != o) for o in sorted(six_set - o_set)]
+    for u in after:
+        if u in t.pentachora:
+            raise LinkConditionViolation(f"replacement pentachoron {u} already present")
+    return before, after
+
+
+def scan_find_moves(t: Triangulation, kind: str) -> list[MoveDescriptor]:
+    """All valid move descriptors of the given kind, by exhaustive search
+    with a scan of every pentachoron per six-vertex set."""
+    if kind not in MOVE_KINDS:
+        raise MoveError(f"unknown move kind {kind!r}")
+    k = MOVE_KINDS[kind]
+    out = []
+    if kind == "1-5":
+        fresh = (max(t.vertex_ids) + 1) if t.pentachora else 0
+        for i, u in enumerate(t.pentachora):
+            d = MoveDescriptor(kind, (i,), tuple(sorted(u + (fresh,))))
+            try:
+                scan_move_parts(t, d)
+            except MoveError:
+                continue
+            out.append(d)
+        return out
+    verts = sorted(t.vertex_ids)
+    six_sets = sorted({tuple(sorted(set(u) | {w}))
+                       for u in t.pentachora for w in verts if w not in u})
+    for six in six_sets:
+        six_set = set(six)
+        present = [i for i, u in enumerate(t.pentachora) if set(u) <= six_set]
+        if len(present) < k:
+            continue
+        for combo in combinations(present, k):
+            d = MoveDescriptor(kind, combo, six)
+            try:
+                scan_move_parts(t, d)
+            except MoveError:
+                continue
+            out.append(d)
+    return out

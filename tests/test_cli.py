@@ -246,6 +246,8 @@ class TestDeterminism:
         ("invariant-form-cp2", ("invariant", "--manifold", "cp2", "--mode", "form")),
         ("verify-cp2-random3-seed1",
          ("verify", "--manifold", "cp2", "--random", "3", "--seed", "1")),
+        ("verify-cp2-random6-seed2",
+         ("verify", "--manifold", "cp2", "--random", "6", "--seed", "2")),
     ])
     def test_golden_report(self, capsys, name, argv):
         # reports are stable API: any change to a byte is a change to the output

@@ -5,18 +5,18 @@ import random
 import numpy as np
 import pytest
 
-from hexaform import linalg
+from hexaform import hexagon, linalg
 from hexaform.gf import gf_nullspace, make_field
-from hexaform.hexagon import (R_MATRIX, Coloring, ConstraintSystem, build_constraints,
-                              coboundary_terms, coboundary_terms_alt,
-                              gram_matrix, permitted_space, phi, phi_expanded,
-                              action_value, solve_permitted, symmetry_defect,
-                              verify_cocycle)
+from hexaform.hexagon import (R_MATRIX, ConstraintSystem, build_constraints,
+                              face_vectors, gram_matrix, permitted_space,
+                              solve_permitted, verify_cocycle)
 from hexaform.manifolds import builtin_manifold
 from hexaform.triangulation import (MOVE_KINDS, Triangulation, apply_move,
                                     boundary_delta5, faces, find_moves)
-from oracles import (action_by_phi, cp2_walk, dense_kernel, forbid_smith, mat_mul,
-                     mat_vec, rank_mod, transpose)
+from oracles import (Coloring, action_by_phi, action_of, coboundary_terms,
+                     coboundary_terms_alt, colorings, combination, cp2_walk, dense_kernel,
+                     forbid_smith, gram_by_phi, mat_mul, mat_vec, phi, phi_expanded,
+                     rank_mod, symmetry_defect, transpose)
 
 SINGLE = Triangulation("one", ((0, 1, 2, 3, 4),))
 
@@ -50,13 +50,19 @@ def open_cp2():
     return Triangulation("cp2-open", t.pentachora[1:], t.signs[1:])
 
 
+# the Gram against its entry-by-entry oracle; the open input is asymmetric
+GRAM_INPUTS = [lambda: builtin_manifold("s4"), lambda: builtin_manifold("cp2"), cp2_walk,
+               open_cp2]
+GRAM_IDS = ["s4", "cp2", "cp2-walk", "cp2-open"]
+
+
 def random_coloring(space, rng, lo=-4, hi=5):
-    return space.combination([rng.randrange(lo, hi) for _ in range(space.dim)])
+    return combination(space, [rng.randrange(lo, hi) for _ in range(space.dim)])
 
 
 def random_gf_coloring(space, rng):
     f = space.ring
-    return space.combination([f(rng.randrange(f.q)) for _ in range(space.dim)])
+    return combination(space, [f(rng.randrange(f.q)) for _ in range(space.dim)])
 
 
 def random_code_coloring(space, rng):
@@ -223,7 +229,7 @@ class TestPhi:
 
     def test_two_lines_agree_on_integer_basis(self):
         space = permitted_space(boundary_delta5())
-        cols = space.colorings()
+        cols = colorings(space)
         for u in boundary_delta5().pentachora:
             for a in cols:
                 for b in cols:
@@ -234,7 +240,7 @@ class TestAction:
     def test_zero_colorings(self):
         t = boundary_delta5()
         z = Coloring.zero(t.tetrahedra())
-        assert action_value(t, z, z) == 0
+        assert action_of(t, z, z) == 0
 
     def test_bilinearity_gf3(self):
         f = make_field(3)
@@ -245,20 +251,24 @@ class TestAction:
         w = random_gf_coloring(space, rng)
         for a in range(3):
             scaled = v.map(lambda e: f(a) * e)
-            assert action_value(t, scaled, w) == f(a) * action_value(t, v, w)
+            assert action_of(t, scaled, w) == f(a) * action_of(t, v, w)
 
     def test_unoriented_rejected(self):
         with pytest.raises(ValueError):
-            action_value(boundary_delta5().without_signs(), None, None)
+            face_vectors(boundary_delta5().without_signs(), (), [])
 
-    @pytest.mark.parametrize("make", [lambda: builtin_manifold("cp2"), cp2_walk, open_cp2],
-                             ids=["cp2", "cp2-walk", "cp2-open"])
+    @pytest.mark.parametrize("make", GRAM_INPUTS, ids=GRAM_IDS)
     def test_gram_matches_sum_of_phi(self, make):
         t = make()
         g = gram_matrix(t)
-        cols = g.space.colorings()
-        assert [list(row) for row in g.matrix] == [[action_by_phi(t, a, b) for b in cols]
-                                                    for a in cols]
+        assert [list(row) for row in g.matrix] == gram_by_phi(t, g.space)
+
+    @pytest.mark.parametrize("make", GRAM_INPUTS, ids=GRAM_IDS)
+    @pytest.mark.parametrize("p,n", [(3, 1), (2, 2)])
+    def test_gram_over_fields_matches_sum_of_phi(self, make, p, n):
+        t = make()
+        g = gram_matrix(t, make_field(p, n))
+        assert [list(row) for row in g.matrix] == gram_by_phi(t, g.space)
 
     @pytest.mark.parametrize("make", [lambda: builtin_manifold("cp2"), cp2_walk, open_cp2],
                              ids=["cp2", "cp2-walk", "cp2-open"])
@@ -269,14 +279,14 @@ class TestAction:
         rng = random.Random(8)
         for _ in range(20):
             a, b = random_code_coloring(space, rng), random_code_coloring(space, rng)
-            assert action_value(t, a, b) == action_by_phi(t, a, b)
+            assert action_of(t, a, b) == action_by_phi(t, a, b)
 
     def test_vanishes_on_boundary_delta5(self):
         t = boundary_delta5()
         space = permitted_space(t)
-        for a in space.colorings():
-            for b in space.colorings():
-                assert action_value(t, a, b) == 0
+        for a in colorings(space):
+            for b in colorings(space):
+                assert action_of(t, a, b) == 0
 
 
 class TestGram:
@@ -300,14 +310,31 @@ class TestGram:
         pt = transpose(p)
         transformed = mat_mul(mat_mul(pt, m), p)
         # recompute the Gram on the transformed basis directly
-        cols = [g.space.combination([p[k][b] for k in range(g.dim)])
+        cols = [combination(g.space, [p[k][b] for k in range(g.dim)])
                 for b in range(g.dim)]
-        direct = [[action_value(t, a, c) for c in cols] for a in cols]
+        direct = [[action_of(t, a, c) for c in cols] for a in cols]
         assert direct == transformed
 
     def test_symmetric_on_closed(self):
         m = gram_matrix(builtin_manifold("cp2")).int_matrix()
         assert m == [list(row) for row in zip(*m)]
+
+    def test_open_gram_is_asymmetric(self):
+        # so that a rear/front swap cannot pass the comparisons with gram_by_phi
+        m = gram_matrix(open_cp2()).int_matrix()
+        assert m != [list(row) for row in zip(*m)]
+
+    def test_one_action_value_call_per_entry(self, monkeypatch):
+        calls = []
+        original = hexagon.action_value
+
+        def counted(rear, front):
+            calls.append(None)
+            return original(rear, front)
+        monkeypatch.setattr(hexagon, "action_value", counted)
+        g = gram_matrix(builtin_manifold("cp2"))
+        assert g.dim == 28
+        assert len(calls) == g.dim ** 2
 
 
 class TestSymmetryCoboundary:

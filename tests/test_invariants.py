@@ -17,8 +17,8 @@ from hexaform.invariants import (CapExceeded, FormInvariants, FrobeniusSpec,
                                  form_invariants, probability_distribution)
 from hexaform.manifolds import builtin_manifold
 from hexaform.triangulation import Triangulation, boundary_delta5, orient
-from oracles import (brute_force_counts, cp2_walk, enumerated_distribution,
-                     mat_mul, transpose)
+from oracles import (action_of, brute_force_counts, combination, cp2_walk,
+                     enumerated_distribution, mat_mul, transpose)
 
 SINGLE = orient(Triangulation("one", ((0, 1, 2, 3, 4),)))
 
@@ -238,14 +238,13 @@ class TestProbabilityDistribution:
 
     def test_enumeration_matches_direct_evaluation(self):
         # brute force oracle on the tiny GF(2) space of one pentachoron
-        from hexaform.hexagon import action_value
         f = make_field(2)
         space = permitted_space(SINGLE, f)
         counts: dict[int, int] = {}
         for code in range(2 ** space.dim):
             coeffs = [f((code >> i) & 1) for i in range(space.dim)]
-            col = space.combination(coeffs)
-            v = action_value(SINGLE, col, col)
+            col = combination(space, coeffs)
+            v = action_of(SINGLE, col, col)
             counts[v.code] = counts.get(v.code, 0) + 1
         dist = probability_distribution(SINGLE, FrobeniusSpec.single(2, 1, 0))
         assert dict(dist.counts) == counts

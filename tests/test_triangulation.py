@@ -3,6 +3,7 @@
 import json
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from hexaform.manifolds import builtin_manifold
 from hexaform.triangulation import (MoveDescriptor, Triangulation, apply_move,
                                     boundary_delta5, faces, find_moves,
                                     isomorphic, load, orient, relabel, save)
+from oracles import cp2_walk, scan_find_moves, scan_move_parts
 
 SINGLE = Triangulation("one", ((0, 1, 2, 3, 4),))
 
@@ -221,6 +223,79 @@ class TestMoves:
                 pool.extend(find_moves(t, kind))
             t = apply_move(t, pool[rng.randrange(len(pool))])
         assert t.is_closed()
+
+
+def _candidates(t: Triangulation) -> list[MoveDescriptor]:
+    """Descriptors valid and invalid: every combination of the pentachora
+    on every six-vertex set a pentachoron spans with one more vertex, each
+    pentachoron coned to every vertex id, and out-of-range targets."""
+    verts = sorted(t.vertex_ids)
+    out = []
+    for i, u in enumerate(t.pentachora):
+        for w in verts + [verts[-1] + 1]:
+            if w not in u:
+                out.append(MoveDescriptor("1-5", (i,), tuple(sorted(u + (w,)))))
+    six_sets = sorted({tuple(sorted(set(u) | {w}))
+                       for u in t.pentachora for w in verts if w not in u})
+    for six in six_sets:
+        present = [i for i, u in enumerate(t.pentachora) if set(u) <= set(six)]
+        for kind, k in tri.MOVE_KINDS.items():
+            out.extend(MoveDescriptor(kind, c, six) for c in combinations(present, k))
+    n = len(t.pentachora)
+    out.append(MoveDescriptor("2-4", (0, n), tuple(verts[:6])))
+    out.append(MoveDescriptor("3-3", (0, 1, 2), tuple(verts[-6:])))
+    return out
+
+
+def _outcome(check, t, d):
+    try:
+        return ("ok",) + tuple(check(t, d))
+    except tri.MoveError as exc:
+        return (type(exc), str(exc))
+
+
+def _reversed(t: Triangulation) -> Triangulation:
+    # pentachora out of lexicographic order, as a file may list them
+    return Triangulation(t.name, t.pentachora[::-1], t.signs[::-1])
+
+
+MOVE_INPUTS = [boundary_delta5, lambda: builtin_manifold("cp2"), cp2_walk,
+               lambda: cp2_walk(seed=3, n=14), lambda: _reversed(cp2_walk())]
+MOVE_IDS = ["s4", "cp2", "cp2-walk10", "cp2-walk3", "cp2-walk10-reversed"]
+
+
+class TestMoveSearchAgainstScan:
+    """The simplex-count move search against the scan of every pentachoron
+    that it replaced."""
+
+    @pytest.mark.parametrize("make", MOVE_INPUTS, ids=MOVE_IDS)
+    def test_found_moves_equal(self, make):
+        t = make()
+        for kind in tri.MOVE_KINDS:
+            assert find_moves(t, kind) == scan_find_moves(t, kind)
+
+    @pytest.mark.parametrize("make", MOVE_INPUTS, ids=MOVE_IDS)
+    def test_every_descriptor_has_the_same_outcome(self, make):
+        t = make()
+        table = tri._incidence(t.pentachora)
+        seen = set()
+        for d in _candidates(t):
+            new = _outcome(lambda t, d: tri._move_parts(t, d, *table), t, d)
+            assert new == _outcome(scan_move_parts, t, d), d
+            seen.add(new[0])
+        assert {"ok", tri.StaleVertex, tri.LinkConditionViolation,
+                tri.ConfigurationNotFound} <= seen
+
+    def test_5_1_vertex_used_elsewhere(self):
+        # the five facets of del-Delta^5 around vertex 5, and one more
+        # pentachoron on vertex 5: impossible on a closed manifold
+        star = tuple(tuple(v for v in range(6) if v != i) for i in range(5))
+        t = Triangulation("star", star + ((5, 6, 7, 8, 9),))
+        d = MoveDescriptor("5-1", (0, 1, 2, 3, 4), tuple(range(6)))
+        expected = (tri.LinkConditionViolation, "vertex 5 still used outside the move support")
+        assert _outcome(scan_move_parts, t, d) == expected
+        assert _outcome(lambda t, d: tri._move_parts(t, d, *tri._incidence(t.pentachora)),
+                        t, d) == expected
 
 
 class TestRelabelIsomorphic:
