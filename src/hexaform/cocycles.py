@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import GF
+from .gf import GF, FieldError, is_prime
 from .invariants import CapExceeded, enumeration_cap
 from .mpoly import MPoly, linear_combination
 from .triangulation import boundary_delta5, faces
@@ -48,6 +48,8 @@ def specialize_double(p: int, m1: int, m2: int) -> CocyclePolynomial:
     p^m1 + p^m2.  Raising a linear form into a p-power distributes over the
     sum and fixes GF(p) coefficients, so each factor just gets its
     exponents scaled."""
+    if not is_prime(p):
+        raise FieldError(f"{p} is not prime")
     if m1 < 0 or m2 < 0:
         raise ValueError("exponents must be >= 0")
     latin = linear_combination(FACE_VARIABLES, LATIN_COEFFS, p)
@@ -101,8 +103,8 @@ def is_hexagon_cocycle(c: CocyclePolynomial, field: GF,
     p, q = field.p, field.q
     coords = tuple(f"a{i}" for i in range(d))
     unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    # x-coordinates of the basis are reductions of integers: they lie in GF(p)
-    linear = {tet: MPoly(coords, p, {unit[i]: vec[k].code for i, vec in enumerate(space.basis)})
+    # the basis entries are residues mod p: GF(p) coefficients
+    linear = {tet: MPoly(coords, p, {unit[i]: vec[k] for i, vec in enumerate(space.basis)})
               for k, tet in enumerate(space.tets)}
     powers: dict = {}
 

@@ -11,6 +11,10 @@ the front face u[:4]; summing over pentachora with orientation signs gives
 the action S.  On a basis, S(a, b) is the dot product of a's signed
 rear-face vector with b's front-face vector, so the Gram matrix is the
 product R^T F of the two face matrices (`face_vectors`).
+
+The constraint matrix is integral, so over GF(p^n) the permitted space is
+the GF(p) space tensored up: its basis entries are plain residues mod p,
+and so are the Gram entries.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class ConstraintSystem:
 
     Variables: one x_t and one y_t per tetrahedron, tetrahedra sorted
     lexicographically, x-block before y-block.  Rows are integer for every
-    ring; the solution basis is reduced into the finite field, if any.
+    ring; over GF(p^n) the solution basis is reduced mod p.
     """
 
     triangulation: Triangulation
@@ -70,11 +74,13 @@ def build_constraints(t: Triangulation, ring: GF | None = None,
 
 @dataclass(frozen=True)
 class PermittedSpace:
-    """Basis of the solution module/space of a constraint system."""
+    """Basis of the solution module/space of a constraint system.  Over
+    GF(p^n) every entry is an int in [0, p): the basis spans the GF(p)
+    space, which every Frobenius power fixes."""
 
     ring: GF | None
     tets: tuple
-    basis: tuple  # tuple of value vectors (lists), x-block then y-block
+    basis: tuple  # tuple of value vectors (int lists), x-block then y-block
 
     @property
     def dim(self) -> int:
@@ -94,8 +100,9 @@ def solve_permitted(system: ConstraintSystem) -> PermittedSpace:
     Smith decomposition only of whatever rows no +-1 pivot clears.
 
     Over Z the basis is saturated and Hermite-canonical (every pivot lies
-    in the x-block).  Over a finite field it is the reduction mod p of the
-    lifted kernel columns: deterministic, but not in reduced-echelon form.
+    in the x-block).  Over GF(p^n) it is the reduction mod p of the lifted
+    kernel columns, as ints in [0, p): deterministic, but not in
+    reduced-echelon form.
     """
     nt = len(system.tets)
     defining: dict[int, dict[int, int]] = {}
@@ -117,15 +124,15 @@ def solve_permitted(system: ConstraintSystem) -> PermittedSpace:
             x_rows.append(diff)
         else:
             defining[t] = entries
-    f = system.ring
-    _, cols = linalg.sparse_kernel(x_rows, nt, None if f is None else f.p)
-    if f is None:
+    p = None if system.ring is None else system.ring.p
+    _, cols = linalg.sparse_kernel(x_rows, nt, p)
+    if p is None:
         cols = linalg.hermite_columns(cols)
     basis = [x + [-sum(v * x[j] for j, v in defining[t].items()) for t in range(nt)]
              for x in cols]
-    if f is not None:
-        basis = [[f(v) for v in vec] for vec in basis]
-    return PermittedSpace(f, system.tets, tuple(basis))
+    if p is not None:
+        basis = [[v % p for v in vec] for vec in basis]
+    return PermittedSpace(system.ring, system.tets, tuple(basis))
 
 
 def permitted_space(t: Triangulation, ring: GF | None = None,
@@ -160,9 +167,19 @@ def action_value(rear: list, front: list):
     return sum(map(mul, rear, front))
 
 
+def _gram(t: Triangulation, space: PermittedSpace) -> tuple:
+    """The action on every pair of basis vectors, one `action_value` per
+    entry; reduced mod p over GF(p^n)."""
+    rears, fronts = face_vectors(t, space.tets, space.basis)
+    if space.ring is None:
+        return tuple(tuple(action_value(r, f) for f in fronts) for r in rears)
+    p = space.ring.p
+    return tuple(tuple(action_value(r, f) % p for f in fronts) for r in rears)
+
+
 @dataclass(frozen=True)
 class GramResult:
-    matrix: tuple          # dim x dim, entries int or GFElem
+    matrix: tuple          # dim x dim ints, residues mod p over GF(p^n)
     space: PermittedSpace
 
     @property
@@ -177,9 +194,7 @@ def gram_matrix(t: Triangulation, ring: GF | None = None,
                 r_matrix=R_MATRIX) -> GramResult:
     """Gram matrix of the action on the canonical permitted basis."""
     space = permitted_space(t, ring, r_matrix)
-    rears, fronts = face_vectors(t, space.tets, space.basis)
-    g = tuple(tuple(action_value(r, f) for f in fronts) for r in rears)
-    return GramResult(g, space)
+    return GramResult(_gram(t, space), space)
 
 
 def verify_cocycle(ring: GF | None = None, r_matrix=R_MATRIX) -> dict:
@@ -188,8 +203,5 @@ def verify_cocycle(ring: GF | None = None, r_matrix=R_MATRIX) -> dict:
     must vanish identically."""
     from .triangulation import boundary_delta5
     g = gram_matrix(boundary_delta5(), ring, r_matrix)
-    if ring is None:
-        ok = all(v == 0 for row in g.matrix for v in row)
-    else:
-        ok = all(v.code == 0 for row in g.matrix for v in row)
+    ok = all(v == 0 for row in g.matrix for v in row)
     return {"ring": "Z" if ring is None else repr(ring), "dim": g.dim, "cocycle": ok}

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import linalg
-from .gf import GF, gf_nullspace
 from .hexagon import gram_matrix
 from .invariants import FormInvariants, form_invariants
 from .triangulation import Triangulation
@@ -21,7 +20,6 @@ from .triangulation import Triangulation
 
 @dataclass(frozen=True)
 class TwoCocycleSpace:
-    ring: GF | None
     triangles: tuple
     basis: tuple
 
@@ -44,17 +42,13 @@ def _cocycle_rows(t: Triangulation, k: int):
     return cells, rows
 
 
-def solve_2cocycles(t: Triangulation, ring: GF | None = None) -> TwoCocycleSpace:
-    """Kernel of the tetrahedron-coboundary system over triangles; over Z
-    the basis is saturated and Hermite-canonical."""
+def solve_2cocycles(t: Triangulation) -> TwoCocycleSpace:
+    """Kernel of the tetrahedron-coboundary system over triangles: the
+    integral 2-cocycles, as a saturated, Hermite-canonical basis."""
     triangles, rows = _cocycle_rows(t, 2)
     if not rows:
         raise ValueError("triangulation has no tetrahedra")
-    if ring is None:
-        basis = linalg.integer_kernel_basis(rows)
-        return TwoCocycleSpace(None, triangles, tuple(basis))
-    grows = [[ring(v) for v in row] for row in rows]
-    return TwoCocycleSpace(ring, triangles, tuple(gf_nullspace(grows, ring)))
+    return TwoCocycleSpace(triangles, tuple(linalg.integer_kernel_basis(rows)))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@ matrix, and exact value-probability distributions over finite fields with
 Frobenius-linked colorings.
 
 Probabilities are exact rationals over the whole permitted coloring space,
-computed in closed form from the pairing matrix of the action mod p: each
-GF(p)-coordinate of the value is a quadratic form over GF(p), whose value
-counts follow from its rank and discriminant (p odd) or its Arf invariant
-(p = 2).  No coloring is enumerated; a space past the configured cap is
-still refused, as it was when the counts came from enumeration.
+computed in closed form from the Gram matrix M of the action mod p on the
+GF(p) basis of the permitted space, so that S(a) = phi1(a)^T M phi2(a) for
+the coloring with basis coordinates a: each GF(p)-coordinate of the value
+is a quadratic form over GF(p), whose value counts follow from its rank
+and discriminant (p odd) or its Arf invariant (p = 2).  No coloring is
+enumerated; a space past the configured cap is still refused, as it was
+when the counts came from enumeration.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import prod
 
 from . import linalg
 from .gf import GF, _decode, make_field
-from .hexagon import permitted_space
+from .hexagon import _gram, permitted_space
 from .triangulation import Triangulation
 
 DEFAULT_CAP = 10_000_000
@@ -179,37 +181,6 @@ class ValueDistribution:
         }
 
 
-def _pairing_matrix(t: Triangulation, space, p: int) -> list[list[int]]:
-    """M = sum over pentachora u of sign_u * r_u^T f_u mod p, where r_u and
-    f_u hold the (x + y) codes of the rear face u[1:] and the front face
-    u[:4] on every basis vector: S(a) = phi1(a)^T M phi2(a) for the
-    coloring with basis coordinates a."""
-    nt = len(space.tets)
-    idx = {tet: i for i, tet in enumerate(space.tets)}
-    codes = [[v.code for v in vec] for vec in space.basis]
-    # the basis is the reduction of integer kernel columns, so it lies in
-    # GF(p), which every Frobenius power fixes
-    assert all(c < p for vec in codes for c in vec), "basis outside GF(p)"
-    face_rows: dict = {}
-
-    def face(tet) -> list[int]:
-        if tet not in face_rows:
-            i = idx[tet]
-            face_rows[tet] = [(vec[i] + vec[nt + i]) % p for vec in codes]
-        return face_rows[tet]
-
-    d = space.dim
-    m = [[0] * d for _ in range(d)]
-    for sign, u in zip(t.signs, t.pentachora):
-        front = [(j, x) for j, x in enumerate(face(u[:4])) if x]
-        for i, r in enumerate(face(u[1:])):
-            if r:
-                row, s = m[i], sign * r
-                for j, x in front:
-                    row[j] += s * x
-    return [[x % p for x in row] for row in m]
-
-
 def _legendre(a: int, p: int) -> int:
     a %= p
     return 0 if a == 0 else (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
@@ -331,7 +302,7 @@ def _core(m: list[list[int]], p: int) -> list[list[int]]:
     in a basis of e_J and R the matrix is M[J][J] (+) 0; that change of
     basis has GF(p) entries and commutes with every Frobenius power, so
     each value of S is taken q^(d - |J|) times as often as on M[J][J]."""
-    rows = [row[:] for row in m] + [list(col) for col in zip(*m)]
+    rows = [list(row) for row in m] + [list(col) for col in zip(*m)]
     pivots = []
     for c in range(len(m)):
         piv = next((row for row in rows if row[c]), None)
@@ -439,7 +410,7 @@ def probability_distribution(t: Triangulation, spec: FrobeniusSpec,
     commutes with the integer constraint matrix, so both halves stay
     permitted).  Value model "field" multiplies in GF(p^n); "tensor" takes
     coefficientwise outer products, landing in n x n matrices over GF(p).
-    The counts come in closed form from the pairing matrix mod p; the space
+    The counts come in closed form from the Gram matrix mod p; the space
     is still refused past the cap.
     """
     if value_model not in ("field", "tensor"):
@@ -453,7 +424,7 @@ def probability_distribution(t: Triangulation, spec: FrobeniusSpec,
     limit = enumeration_cap(cap)
     if total > limit:
         raise CapExceeded(total, limit)
-    counts = _value_counts(_pairing_matrix(t, space, field.p), spec, value_model)
+    counts = _value_counts(_gram(t, space), spec, value_model)
     return ValueDistribution(value_model, spec, counts, total)
 
 

@@ -105,22 +105,27 @@ class Coloring:
         return cls(tets, [z] * (2 * len(tuple(tets))), ring)
 
 
-def coloring(space, i: int) -> Coloring:
-    return Coloring(space.tets, space.basis[i], space.ring)
+def lifted_basis(space) -> list[list]:
+    """The basis vectors as ring elements: over GF(p^n) each residue mod p
+    becomes a field element, so that colorings combine in field arithmetic."""
+    if space.ring is None:
+        return [list(vec) for vec in space.basis]
+    return [[space.ring(v) for v in vec] for vec in space.basis]
 
 
 def colorings(space) -> list[Coloring]:
-    return [coloring(space, i) for i in range(space.dim)]
+    return [Coloring(space.tets, vec, space.ring) for vec in lifted_basis(space)]
 
 
 def combination(space, coeffs) -> Coloring:
     if len(coeffs) != space.dim:
         raise ValueError("coefficient count mismatch")
     n = 2 * len(space.tets)
+    basis = lifted_basis(space)
     if space.ring is None:
-        vals = [sum(c * b[k] for c, b in zip(coeffs, space.basis)) for k in range(n)]
+        vals = [sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(n)]
     else:
-        vals = [sum((c * b[k] for c, b in zip(coeffs, space.basis)),
+        vals = [sum((c * b[k] for c, b in zip(coeffs, basis)),
                     space.ring.zero) for k in range(n)]
     return Coloring(space.tets, vals, space.ring)
 
@@ -213,7 +218,7 @@ def _functional_codes(space, field: GF, tet) -> list[int]:
     """Codes of (x_t + y_t) on each basis vector, for one tetrahedron."""
     nt = len(space.tets)
     i = space.tets.index(tet)
-    return [field.add_codes(vec[i].code, vec[nt + i].code) for vec in space.basis]
+    return [field.add_codes(vec[i], vec[nt + i]) for vec in space.basis]
 
 
 def _enumerate_functional(field: GF, codes: list[int]) -> np.ndarray:
@@ -364,7 +369,7 @@ def enumerated_cocycle_check(c, field: GF) -> bool:
     s4 = boundary_delta5()
     space = permitted_space(s4, field)
     q = field.q
-    tet_vals = {tet: _enumerate_functional(field, [vec[i].code for vec in space.basis])
+    tet_vals = {tet: _enumerate_functional(field, [vec[i] for vec in space.basis])
                 .astype(np.int64) for i, tet in enumerate(space.tets)}
     table = []
     for point in range(q ** 5):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hexaform.cli import main
+from hexaform.gf import GFElem
 from hexaform.manifolds import builtin_manifold
 from hexaform.triangulation import Triangulation, load, save
 
@@ -224,6 +225,20 @@ class TestExitCodes:
         code, _, _ = run(capsys, "invariant", "--file", str(tmp_path / "no.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("frobenius", "--p", "4"),
+        ("frobenius", "--p", "1"),
+        ("frobenius", "--p", "0"),
+        ("frobenius", "--p", "-3"),
+        ("invariant", "--manifold", "s4", "--mode", "prob", "--p", "4"),
+        ("invariant", "--manifold", "s4", "--mode", "prob", "--n", "0"),
+    ], ids=["frobenius-p4", "frobenius-p1", "frobenius-p0", "frobenius-p-3",
+            "prob-p4", "prob-n0"])
+    def test_impossible_field(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == "" and err.startswith("error: ")
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
@@ -248,6 +263,16 @@ class TestDeterminism:
          ("verify", "--manifold", "cp2", "--random", "3", "--seed", "1")),
         ("verify-cp2-random6-seed2",
          ("verify", "--manifold", "cp2", "--random", "6", "--seed", "2")),
+        ("invariant-prob-s4-gf4-tensor",
+         ("invariant", "--manifold", "s4", "--mode", "prob", "--p", "2", "--n", "2",
+          "--m", "1", "--model", "tensor")),
+        ("invariant-prob-cp2-gf3",
+         ("invariant", "--manifold", "cp2", "--mode", "prob", "--p", "3", "--m", "0",
+          "--cap", "100000000000000")),
+        ("verify-prob-s4-moves",
+         ("verify", "--manifold", "s4", "--mode", "prob", "--moves", "1-5,2-4,3-3",
+          "--p", "2", "--m", "1")),
+        ("frobenius-p5-m0-check", ("frobenius", "--p", "5", "--m", "0", "--check")),
     ])
     def test_golden_report(self, capsys, name, argv):
         # reports are stable API: any change to a byte is a change to the output
@@ -267,6 +292,25 @@ class TestDeterminism:
         b = run_json(capsys, "invariant", "--file", str(path))
         for key in ("rank", "signature", "det", "parity", "factors"):
             assert a["invariants"][key] == b["invariants"][key]
+
+
+def test_cli_builds_no_field_element(capsys, monkeypatch):
+    # over GF(p^n) the permitted basis is a list of residues mod p, read as
+    # such by the Gram, the value distribution and the cocycle check
+    def refuse(self, field, code):
+        raise AssertionError("GFElem built")
+    monkeypatch.setattr(GFElem, "__init__", refuse)
+    for argv in [
+        ("invariant", "--manifold", "s4", "--mode", "prob", "--p", "2"),
+        ("invariant", "--manifold", "s4", "--mode", "prob", "--p", "2", "--n", "2", "--m", "1"),
+        ("invariant", "--manifold", "s4", "--mode", "prob", "--p", "2", "--n", "2", "--m", "1",
+         "--model", "tensor"),
+        ("verify", "--manifold", "s4", "--mode", "prob", "--moves", "1-5,2-4", "--p", "3"),
+        ("frobenius", "--p", "2", "--m", "1", "--check"),
+        ("compare", "--manifold", "s4"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_import_leaves_numpy_out():

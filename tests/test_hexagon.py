@@ -67,12 +67,13 @@ def random_gf_coloring(space, rng):
 
 def random_code_coloring(space, rng):
     """A coloring with coefficients drawn from all of GF(q), combined on
-    field codes through the lookup tables rather than GFElem arithmetic."""
+    field codes through the lookup tables rather than GFElem arithmetic
+    (a residue mod p is the code of its GF(p) element)."""
     f = space.ring
     add, mul = f.add_table(), f.mul_table()
     acc = np.zeros(len(space.basis[0]), dtype=np.int64)
     for vec in space.basis:
-        acc = add[acc, mul[rng.randrange(f.q), [v.code for v in vec]]]
+        acc = add[acc, mul[rng.randrange(f.q), vec]]
     return Coloring(space.tets, [f.from_code(int(a)) for a in acc], f)
 
 
@@ -149,11 +150,11 @@ class TestSmithRoute:
         t = make()
         rows = [list(r) for r in build_constraints(t).rows]
         space = permitted_space(t, make_field(p))
-        codes = [[v.code for v in vec] for vec in space.basis]
+        assert all(type(x) is int and 0 <= x < p for vec in space.basis for x in vec)
         assert space.dim == 2 * len(space.tets) - rank_mod(rows, p)
-        for vec in codes:
+        for vec in space.basis:
             assert all(x % p == 0 for x in mat_vec(rows, vec))
-        assert rank_mod(codes, p) == space.dim
+        assert rank_mod(space.basis, p) == space.dim
 
     @pytest.mark.parametrize("make", [lambda: builtin_manifold("s4"),
                                       lambda: builtin_manifold("cp2"), s4_walk, cp2_walk],
@@ -171,12 +172,13 @@ class TestSmithRoute:
         t, f = make(), make_field(p, n)
         space = permitted_space(t, f)
         rows = [[f(v) for v in r] for r in build_constraints(t).rows]
+        basis = [[f(v) for v in vec] for vec in space.basis]
         assert space.dim == len(gf_nullspace(rows, f))
-        for vec in space.basis:
+        for vec in basis:
             for row in rows:
                 assert sum((c * v for c, v in zip(row, vec)), f.zero) == f.zero
         # independent kernel vectors, as many as the kernel's dimension
-        assert gf_nullspace([list(col) for col in zip(*space.basis)], f) == []
+        assert gf_nullspace([list(col) for col in zip(*basis)], f) == []
 
     def test_gf_dims_jump_where_p_divides_a_factor(self):
         t = builtin_manifold("cp2")
@@ -189,9 +191,8 @@ class TestSmithRoute:
             space = permitted_space(t, f, PERTURBED_R)
             assert space.dim == dim
             for vec in space.basis:
-                codes = [v.code for v in vec]
                 for row in rows:
-                    assert sum(c * v for c, v in zip(row, codes)) % p == 0
+                    assert sum(c * v for c, v in zip(row, vec)) % p == 0
 
     def test_rows_need_one_unit_y_entry(self):
         sys = build_constraints(SINGLE)
@@ -268,7 +269,9 @@ class TestAction:
     def test_gram_over_fields_matches_sum_of_phi(self, make, p, n):
         t = make()
         g = gram_matrix(t, make_field(p, n))
-        assert [list(row) for row in g.matrix] == gram_by_phi(t, g.space)
+        assert all(type(v) is int and 0 <= v < p for row in g.matrix for v in row)
+        assert [list(row) for row in g.matrix] == \
+            [[v.code for v in row] for row in gram_by_phi(t, g.space)]
 
     @pytest.mark.parametrize("make", [lambda: builtin_manifold("cp2"), cp2_walk, open_cp2],
                              ids=["cp2", "cp2-walk", "cp2-open"])

@@ -159,7 +159,7 @@ class TestFrobeniusSpec:
             space = permitted_space(t, f)
             sys = build_constraints(t, f)
             for vec in space.basis:
-                twisted = [frobenius_power(v, 1) for v in vec]
+                twisted = [frobenius_power(f(v), 1) for v in vec]
                 for row in sys.rows:
                     total = sum((f(c) * v for c, v in zip(row, twisted)), f.zero)
                     assert total == f.zero
