@@ -99,10 +99,10 @@ def solve_permitted(system: ConstraintSystem) -> PermittedSpace:
     x-kernel over Z, or mod p over GF(p^n): unit-pivot elimination, with a
     Smith decomposition only of whatever rows no +-1 pivot clears.
 
-    Over Z the basis is saturated and Hermite-canonical (every pivot lies
-    in the x-block).  Over GF(p^n) it is the reduction mod p of the lifted
-    kernel columns, as ints in [0, p): deterministic, but not in
-    reduced-echelon form.
+    Over Z the basis is the lifted kernel columns, saturated and
+    deterministic; no report depends on which basis spans the lattice.
+    Over GF(p^n) it is their reduction mod p, as ints in [0, p):
+    deterministic, but not in reduced-echelon form.
     """
     nt = len(system.tets)
     defining: dict[int, dict[int, int]] = {}
@@ -126,8 +126,6 @@ def solve_permitted(system: ConstraintSystem) -> PermittedSpace:
             defining[t] = entries
     p = None if system.ring is None else system.ring.p
     _, cols = linalg.sparse_kernel(x_rows, nt, p)
-    if p is None:
-        cols = linalg.hermite_columns(cols)
     basis = [x + [-sum(v * x[j] for j, v in defining[t].items()) for t in range(nt)]
              for x in cols]
     if p is not None:
@@ -192,7 +190,7 @@ class GramResult:
 
 def gram_matrix(t: Triangulation, ring: GF | None = None,
                 r_matrix=R_MATRIX) -> GramResult:
-    """Gram matrix of the action on the canonical permitted basis."""
+    """Gram matrix of the action on the permitted basis."""
     space = permitted_space(t, ring, r_matrix)
     return GramResult(_gram(t, space), space)
 

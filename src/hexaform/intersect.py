@@ -29,26 +29,25 @@ class TwoCocycleSpace:
 
 
 def _cocycle_rows(t: Triangulation, k: int):
-    """The coboundary map on k-cochains: one row per (k+1)-simplex, one
-    column per k-simplex, the face omitting vertex r weighted (-1)^(k+1-r)."""
+    """The coboundary map on k-cochains, as `linalg.sparse_kernel` reads it:
+    one row {column: entry} per (k+1)-simplex, one column per k-simplex,
+    the face omitting vertex r weighted (-1)^(k+1-r)."""
     cells = tuple(t.simplices(k))
     idx = {s: i for i, s in enumerate(cells)}
-    rows = []
-    for s in t.simplices(k + 1):
-        row = [0] * len(cells)
-        for r in range(k + 2):
-            row[idx[s[:r] + s[r + 1:]]] += (-1) ** (k + 1 - r)
-        rows.append(row)
+    rows = [{idx[s[:r] + s[r + 1:]]: (-1) ** (k + 1 - r) for r in range(k + 2)}
+            for s in t.simplices(k + 1)]
     return cells, rows
 
 
 def solve_2cocycles(t: Triangulation) -> TwoCocycleSpace:
     """Kernel of the tetrahedron-coboundary system over triangles: the
-    integral 2-cocycles, as a saturated, Hermite-canonical basis."""
+    integral 2-cocycles, as the saturated basis `linalg.sparse_kernel`
+    returns."""
     triangles, rows = _cocycle_rows(t, 2)
     if not rows:
         raise ValueError("triangulation has no tetrahedra")
-    return TwoCocycleSpace(triangles, tuple(linalg.integer_kernel_basis(rows)))
+    _, basis = linalg.sparse_kernel(rows, len(triangles))
+    return TwoCocycleSpace(triangles, tuple(basis))
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,7 @@ def reduced_cup_invariants(t: Triangulation) -> FormInvariants:
         raise ValueError("the cohomology cup form needs a closed triangulation")
     gram = cup_gram(t)
     edges, delta1 = _cocycle_rows(t, 1)
-    rank, _ = linalg.sparse_kernel([{j: v for j, v in enumerate(row) if v} for row in delta1],
-                                   len(edges))
+    rank, _ = linalg.sparse_kernel(delta1, len(edges))
     dim = gram.dim - rank
     inv = form_invariants(gram.int_matrix())
     return replace(inv, total_dim=dim, radical_dim=dim - inv.rank)

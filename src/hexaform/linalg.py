@@ -7,11 +7,13 @@ reproducible Gram matrices.
 
 The rest of the package reads kernels and ranks off `sparse_kernel`, which
 eliminates by +-1 pivots and leaves only the rows they cannot clear to
-`smith_normal_form` (Z kernels are then Hermite-canonicalised by
-`hermite_columns`); elementary divisors off `smith_normal_form`; and
-signatures off `inertia`.  `det` (Bareiss) and `unimodular_inverse`
-(Fraction Gauss-Jordan) have no caller in the package: they are independent
-routes that the tests use as oracles.
+`smith_normal_form`; elementary divisors off `smith_normal_form`; and
+signatures off `inertia`.  Its Z kernels are the saturated columns that
+`sparse_kernel` returns: every report is a congruence invariant, so none
+depends on which basis spans the lattice.  `det` (Bareiss),
+`unimodular_inverse` (Fraction Gauss-Jordan) and `hermite_columns` (the
+canonical basis of a lattice) have no caller in the package: they are
+independent routes that the tests use as oracles.
 """
 
 from __future__ import annotations
@@ -246,7 +248,10 @@ def unimodular_inverse(a: Matrix) -> Matrix:
 
 
 def hermite_columns(basis: list[list[int]]) -> list[list[int]]:
-    """Canonical basis (as columns) of the lattice spanned by the given columns.
+    """Canonical basis (as columns) of the lattice spanned by the given
+    columns: two generating sets span the same lattice exactly when their
+    `hermite_columns` agree.  No coefficient bound holds, so it stays off
+    the package's kernel routes.
 
     Row-HNF of the transposed generator matrix, transposed back: pivots
     positive, entries above each pivot reduced to [0, pivot).
@@ -295,8 +300,8 @@ def sparse_kernel(rows: list[dict[int, int]], n: int,
     never pivoted on, lifted by back-substitution.  Only that residual goes
     through `smith_normal_form`: its kernel is spanned by the columns of V
     past the rank, mod p also by those whose diagonal entry p divides.
-    Over Z the columns are a saturated basis of the kernel lattice, not
-    Hermite-reduced.
+    Over Z the columns are a saturated basis of the kernel lattice, the
+    same for the same rows; no canonical form is imposed on them.
     """
     live = {i: dict(row) for i, row in enumerate(rows) if row}
     holders: dict[int, set[int]] = {}
@@ -366,15 +371,6 @@ def sparse_kernel(rows: list[dict[int, int]], n: int,
             x[c] = sum(v * x[j] for j, v in expr.items())
         cols.append(x)
     return rank, cols
-
-
-def integer_kernel_basis(a: Matrix) -> list[list[int]]:
-    """Saturated Z-basis (list of column vectors) of {v : A v = 0}: the
-    `sparse_kernel` columns, Hermite-reduced to a canonical basis."""
-    if not a or not a[0]:
-        raise ValueError("matrix must be nonempty")
-    _, cols = sparse_kernel([{j: x for j, x in enumerate(row) if x} for row in a], len(a[0]))
-    return hermite_columns(cols)
 
 
 def inertia(g: Matrix) -> tuple[int, int]:

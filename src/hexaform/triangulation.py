@@ -73,6 +73,9 @@ class Triangulation:
                 raise TriangulationError("signs length mismatch")
             if any(s not in (1, -1) for s in self.signs):
                 raise TriangulationError("signs must be +-1")
+        twice = next((u for u, c in Counter(self.pentachora).items() if c > 1), None)
+        if twice is not None:
+            raise TriangulationError(f"pentachoron {twice} listed twice")
         counts: dict[Tetrahedron, int] = {}
         induced: dict[Tetrahedron, int] = {}
         for k, u in enumerate(self.pentachora):
@@ -185,13 +188,10 @@ class MoveDescriptor:
 
 def _incidence(pentachora) -> tuple[Counter, dict]:
     """The number of pentachora containing each simplex of dimension 0-3,
-    and the indices at which each pentachoron occurs."""
+    and the index of each pentachoron (none is listed twice)."""
     counts = Counter(chain.from_iterable(combinations(u, r) for u in pentachora
                                          for r in range(1, 5)))
-    index: dict[Pentachoron, list[int]] = {}
-    for i, u in enumerate(pentachora):
-        index.setdefault(u, []).append(i)
-    return counts, index
+    return counts, {u: i for i, u in enumerate(pentachora)}
 
 
 def _move_parts(t: Triangulation, d: MoveDescriptor, counts: Counter, index: dict):
@@ -284,11 +284,13 @@ def find_moves(t: Triangulation, kind: str) -> list[MoveDescriptor]:
                 continue
             out.append(d)
         return out
-    verts = sorted(t.vertex_ids)
-    six_sets = sorted({tuple(sorted(set(u) | {w}))
-                       for u in t.pentachora for w in verts if w not in u})
+    # two facets of one del-Delta^5 share a tetrahedron, so a six-set holding
+    # k >= 2 targets is the union of the two pentachora on an interior one
+    pents = t.pentachora
+    pairs = [pair for pair in _face_incidence(t).values() if len(pair) == 2]
+    six_sets = sorted({tuple(sorted(set(pents[a]) | set(pents[b]))) for (a, _), (b, _) in pairs})
     for six in six_sets:
-        present = sorted(i for f in combinations(six, 5) for i in index.get(f, ()))
+        present = sorted(index[f] for f in combinations(six, 5) if f in index)
         if len(present) < k:
             continue
         for combo in combinations(present, k):

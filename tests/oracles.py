@@ -16,7 +16,7 @@ from hexaform.manifolds import builtin_manifold
 from hexaform.triangulation import (MOVE_KINDS, ConfigurationNotFound,
                                     LinkConditionViolation, MoveDescriptor, MoveError,
                                     StaleVertex, Triangulation, apply_move,
-                                    boundary_delta5, faces, find_moves)
+                                    boundary_delta5, faces, find_moves, orient)
 
 
 def transpose(a):
@@ -45,6 +45,25 @@ def dense_kernel(a, p=None):
         keep = [j for j in range(n) if j >= len(diag) or diag[j] % p == 0]
     cols = [[snf.v[i][j] for i in range(n)] for j in keep]
     return linalg.hermite_columns(cols) if p is None else cols
+
+
+def same_saturated_lattice(cols, expected):
+    """Do the columns span the lattice of `expected`, a saturated basis, and
+    are they a basis of it?  Equal Hermite forms give the lattice; a unit
+    Smith diagonal of the column matrix gives independent columns that
+    span a saturated lattice."""
+    if linalg.hermite_columns(cols) != linalg.hermite_columns(expected):
+        return False
+    return not cols or (linalg.smith_normal_form(transpose(cols)).diagonal
+                        == [1] * len(cols))
+
+
+def forbid_hermite(monkeypatch):
+    """Make every call of the Hermite reduction fail, to show that no
+    package path canonicalises a basis."""
+    def no_hermite(basis):
+        raise AssertionError("Hermite reduction called")
+    monkeypatch.setattr(linalg, "hermite_columns", no_hermite)
 
 
 def forbid_smith(monkeypatch):
@@ -209,6 +228,44 @@ def cp2_walk(seed=10, n=10):
         pool = [d for kind in MOVE_KINDS for d in find_moves(t, kind)]
         t = apply_move(t, pool[rng.randrange(len(pool))])
     return t
+
+
+# --- product manifolds -----------------------------------------------------
+
+S1 = ((0, 1), (0, 2), (1, 2))
+S2 = tuple(combinations(range(4), 3))
+S3 = tuple(combinations(range(5), 4))
+# the 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7
+T2 = tuple(sorted(tuple(sorted((i + a) % 7 for a in tri))
+                  for i in range(7) for tri in ((0, 1, 3), (0, 2, 3))))
+
+
+def staircase_product(name, a, b):
+    """The staircase triangulation of |A| x |B| (Eilenberg-Zilber 1953) for
+    complexes given by their top simplices, vertices ordered by id: a p-simplex
+    of A and a q-simplex of B give one (p+q)-simplex per monotone lattice
+    path from (0, 0) to (p, q), on the vertices (a_i, b_j) it passes.  Vertex
+    (a_i, b_j) is numbered a_i * |B| + b_j, so each path climbs in id."""
+    nb = 1 + max(v for s in b for v in s)
+    pents = set()
+    for s in a:
+        for t in b:
+            p, q = len(s) - 1, len(t) - 1
+            for rises in combinations(range(p + q), p):
+                i = j = 0
+                verts = [s[0] * nb + t[0]]
+                for step in range(p + q):
+                    i, j = (i + 1, j) if step in rises else (i, j + 1)
+                    verts.append(s[i] * nb + t[j])
+                pents.add(tuple(verts))
+    return orient(Triangulation(name, tuple(sorted(pents))))
+
+
+@lru_cache(maxsize=None)
+def product_manifold(name):
+    """S1xS3 (60 pentachora), S2xS2 (96) or T2xS2 (336)."""
+    factors = {"s1xs3": (S1, S3), "s2xs2": (S2, S2), "t2xs2": (T2, S2)}
+    return staircase_product(name, *factors[name])
 
 
 # --- value distributions by enumeration of every coloring ----------------

@@ -12,6 +12,7 @@ from hexaform.cli import main
 from hexaform.gf import GFElem
 from hexaform.manifolds import builtin_manifold
 from hexaform.triangulation import Triangulation, load, save
+from oracles import forbid_hermite
 
 SINGLE = Triangulation("one", ((0, 1, 2, 3, 4),))
 DISCONNECTED = Triangulation("two", ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
@@ -212,8 +213,9 @@ class TestExitCodes:
         b'\xff\xfe{}',
         b'[' * 100_000 + b']' * 100_000,
         b'{"name":"m","vertices":6,"pentachora":[]}',
+        b'{"name":"m","vertices":5,"pentachora":[[0,1,2,3,4],[0,1,2,3,4]]}',
     ], ids=["pentachora-int", "vertices-str", "signs-int", "not-utf8", "deep-nesting",
-            "pentachora-empty"])
+            "pentachora-empty", "duplicate-pentachoron"])
     def test_malformed_documents(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_bytes(doc)
@@ -311,6 +313,21 @@ def test_cli_builds_no_field_element(capsys, monkeypatch):
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def test_cli_reduces_no_basis_to_hermite_form(capsys, monkeypatch):
+    # every report is a congruence invariant, so the Z kernels stay as the
+    # sparse elimination returns them
+    forbid_hermite(monkeypatch)
+    for name, argv in [
+        ("invariant-form-cp2", ("invariant", "--manifold", "cp2", "--mode", "form")),
+        ("compare-cp2", ("compare", "--manifold", "cp2")),
+        ("verify-cp2-random3-seed1", ("verify", "--manifold", "cp2", "--random", "3",
+                                      "--seed", "1")),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_import_leaves_numpy_out():

@@ -28,7 +28,7 @@ def complement_route_invariants(g):
     with the columns of U^-1 past rank K, where U K V is K's Smith form,
     then read every invariant off the nondegenerate block C^T G C."""
     n = len(g)
-    radical = linalg.integer_kernel_basis(g)
+    radical = oracles.dense_kernel(g)
     rank = n - len(radical)
     if rank == 0:
         return FormInvariants(n, n, 0, (0, 0), 1, "even", ())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexaform import linalg
-from oracles import dense_kernel, mat_mul, mat_vec, rank_mod
+from oracles import dense_kernel, mat_mul, mat_vec, rank_mod, same_saturated_lattice
 
 
 def frac_rank(a):
@@ -27,6 +27,10 @@ def frac_rank(a):
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def sparse_rows(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 small_matrix = st.integers(1, 4).flatmap(
@@ -75,24 +79,28 @@ class TestSmithNormalForm:
 
 
 class TestKernel:
+    """Z kernels off the unit-pivot route, against lattice properties."""
+
     def test_difference_row(self):
-        assert linalg.integer_kernel_basis([[1, -1]]) == [[1, 1]]
+        assert linalg.sparse_kernel(sparse_rows([[1, -1]]), 2) == (1, [[1, 1]])
 
     def test_injective(self):
-        assert linalg.integer_kernel_basis(linalg.identity(3)) == []
+        assert linalg.sparse_kernel(sparse_rows(linalg.identity(3)), 3) == (3, [])
 
     def test_saturation_2_4(self):
         # the primitive solution, not (4, -2)
-        assert linalg.integer_kernel_basis([[2, 4]]) == [[2, -1]]
+        _, cols = linalg.sparse_kernel(sparse_rows([[2, 4]]), 2)
+        assert same_saturated_lattice(cols, [[2, -1]])
 
     @given(small_matrix)
     @settings(max_examples=100, deadline=None)
     def test_kernel_properties(self, a):
-        basis = linalg.integer_kernel_basis(a)
         n = len(a[0])
+        rank, basis = linalg.sparse_kernel(sparse_rows(a), n)
         for col in basis:
             assert mat_vec(a, col) == [0] * len(a)
-        assert len(basis) == n - frac_rank(a)
+        assert rank == frac_rank(a)
+        assert len(basis) == n - rank
         if basis:
             mat = [[basis[j][i] for j in range(len(basis))] for i in range(n)]
             snf = linalg.smith_normal_form(mat)
@@ -109,10 +117,6 @@ def mixed_matrix(draw):
     unit_free = st.sampled_from([0, 2, -2, 3, -3])
     return [draw(st.lists(unit_free if i < k else any_entry, min_size=n, max_size=n))
             for i in range(m)]
-
-
-def sparse_rows(a):
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 class TestSparseKernel:
@@ -141,8 +145,7 @@ class TestSparseKernel:
         assert rank == linalg.smith_normal_form(a).rank
         for col in cols:
             assert mat_vec(a, col) == [0] * len(a)
-        assert linalg.hermite_columns(cols) == dense_kernel(a)
-        assert linalg.integer_kernel_basis(a) == dense_kernel(a)
+        assert same_saturated_lattice(cols, dense_kernel(a))
 
     @given(mixed_matrix(), st.sampled_from([2, 3, 5]))
     @settings(max_examples=200, deadline=None)

@@ -52,6 +52,13 @@ class TestValidation:
         with pytest.raises(tri.TriangulationError):
             Triangulation("x", ((0, 1, 2, 3, 4), (0, 1, 2, 3, 5), (0, 1, 2, 3, 6)))
 
+    def test_rejects_duplicate_pentachoron(self):
+        # each tetrahedron of the doubled pentachoron would count as interior
+        with pytest.raises(tri.TriangulationError, match=r"\(0, 1, 2, 3, 4\) listed twice"):
+            Triangulation("x", ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4)))
+        with pytest.raises(tri.TriangulationError, match="listed twice"):
+            Triangulation("x", SINGLE.pentachora * 2, (1, -1))
+
     def test_rejects_bad_signs(self):
         with pytest.raises(tri.TriangulationError):
             Triangulation("x", ((0, 1, 2, 3, 4),), (2,))
