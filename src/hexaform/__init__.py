@@ -16,7 +16,7 @@ from .triangulation import (
 from .gf import GF, GFElem, make_field, frobenius_power, gf_nullspace
 from .hexagon import (
     R_MATRIX, build_constraints, solve_permitted, permitted_space,
-    face_vectors, action_value, gram_matrix, verify_cocycle,
+    pairing, action_value, gram_matrix, verify_cocycle,
 )
 from .invariants import (
     FormInvariants, FrobeniusSpec, ValueDistribution, CapExceeded,

@@ -79,7 +79,7 @@ def _invariant_payload(t: tri.Triangulation, args) -> dict:
         if not t.is_closed():
             raise UsageError("the form invariant needs a closed triangulation; "
                              "use --mode prob for manifolds with boundary")
-        inv = form_invariants(gram_matrix(t).int_matrix())
+        inv = form_invariants(gram_matrix(t).matrix)
         return {"mode": "form", "invariants": inv.to_json()}
     spec = _frobenius_spec(args)
     dist = probability_distribution(t, spec, args.model, args.cap)
@@ -125,7 +125,7 @@ def cmd_verify(args) -> int:
     def snapshot(s: tri.Triangulation):
         if args.mode == "form":
             g = gram_matrix(s)
-            return form_invariants(g.int_matrix()), g.dim
+            return form_invariants(g.matrix), g.dim
         spec = _frobenius_spec(args)
         dist = probability_distribution(s, spec, args.model, args.cap)
         # the distribution counts all q**dim colorings
@@ -321,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     except tri.MalformedFile as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (KeyError, FileNotFoundError, FieldError, ValueError) as exc:
+    except (KeyError, OSError, FieldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

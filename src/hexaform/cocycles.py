@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import GF, FieldError, is_prime
-from .invariants import CapExceeded, enumeration_cap
+from .invariants import capped_space
 from .mpoly import MPoly, linear_combination
 from .triangulation import boundary_delta5, faces
 
@@ -92,14 +92,9 @@ def is_hexagon_cocycle(c: CocyclePolynomial, field: GF,
     """
     if field.p != c.p:
         raise ValueError("field characteristic must match the polynomial")
-    from .hexagon import permitted_space
     s4 = boundary_delta5()
-    space = permitted_space(s4, field)
+    space, _ = capped_space(s4, field.p, field.n, cap)
     d = space.dim
-    total = field.q ** d
-    limit = enumeration_cap(cap)
-    if total > limit:
-        raise CapExceeded(total, limit)
     p, q = field.p, field.q
     coords = tuple(f"a{i}" for i in range(d))
     unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]

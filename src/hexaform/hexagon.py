@@ -9,8 +9,10 @@ in inverse lexicographic order).  The pentachoron cocycle multiplies the
 (x+y) of one coloring on the rear face u[1:] with the (x+y) of another on
 the front face u[:4]; summing over pentachora with orientation signs gives
 the action S.  On a basis, S(a, b) is the dot product of a's signed
-rear-face vector with b's front-face vector, so the Gram matrix is the
-product R^T F of the two face matrices (`face_vectors`).
+rear-face row with b's front-face row, so the Gram matrix is the product
+R^T F of the two face matrices.  `pairing` computes that product for any
+two faces of a pentachoron; the cup form of `intersect` pairs the front
+and rear triangles through it.
 
 The constraint matrix is integral, so over GF(p^n) the permitted space is
 the GF(p) space tensored up: its basis entries are plain residues mod p,
@@ -141,51 +143,53 @@ def permitted_space(t: Triangulation, ring: GF | None = None,
 # --- the cocycle and the action --------------------------------------------
 
 
-def face_vectors(t: Triangulation, tets, vectors) -> tuple[list, list]:
-    """Per-pentachoron face values of each value vector: the signed rear
-    values sign_u * (x+y) on u[1:] and the front values (x+y) on u[:4],
-    one list over the pentachora of t per vector."""
+def pairing(t: Triangulation, cells, values, left: slice, right: slice) -> tuple:
+    """The signed pentachoron pairing of value vectors over `cells`: entry
+    (a, b) is the sum over pentachora u of sign_u * a[u[left]] * b[u[right]].
+    Each entry is one `action_value` dot product of a's signed left-face
+    row with b's right-face row, so the matrix is L^T F of the face rows."""
     if t.signs is None:
         raise ValueError("triangulation must be oriented (signs missing)")
-    nt = len(tets)
-    idx = {tet: i for i, tet in enumerate(tets)}
-    rear_at = [idx[u[1:]] for u in t.pentachora]
-    front_at = [idx[u[:4]] for u in t.pentachora]
-    rears, fronts = [], []
-    for vec in vectors:
-        s = [vec[i] + vec[nt + i] for i in range(nt)]
-        rears.append([s[i] if sign == 1 else -s[i] for sign, i in zip(t.signs, rear_at)])
-        fronts.append([s[j] for j in front_at])
-    return rears, fronts
+    idx = {cell: i for i, cell in enumerate(cells)}
+    left_at = [idx[u[left]] for u in t.pentachora]
+    right_at = [idx[u[right]] for u in t.pentachora]
+    lefts = [[v[i] if sign == 1 else -v[i] for sign, i in zip(t.signs, left_at)]
+             for v in values]
+    rights = [[v[j] for j in right_at] for v in values]
+    return tuple(tuple(action_value(a, b) for b in rights) for a in lefts)
 
 
-def action_value(rear: list, front: list):
-    """S(a, b) = sum over pentachora of sign * phi, as the dot product of
-    a's signed rear-face values with b's front-face values."""
-    return sum(map(mul, rear, front))
+def action_value(left: list, right: list):
+    """One pairing entry: the dot product of a signed left-face row with a
+    right-face row.  On rear and front faces it is the action S(a, b), the
+    sum over pentachora of sign * phi."""
+    return sum(map(mul, left, right))
 
 
 def _gram(t: Triangulation, space: PermittedSpace) -> tuple:
-    """The action on every pair of basis vectors, one `action_value` per
-    entry; reduced mod p over GF(p^n)."""
-    rears, fronts = face_vectors(t, space.tets, space.basis)
+    """The action on every pair of basis vectors: the pairing of their
+    (x+y) values, rear face u[1:] against front face u[:4]; reduced mod p
+    over GF(p^n)."""
+    nt = len(space.tets)
+    sums = [[vec[i] + vec[nt + i] for i in range(nt)] for vec in space.basis]
+    g = pairing(t, space.tets, sums, slice(1, 5), slice(0, 4))
     if space.ring is None:
-        return tuple(tuple(action_value(r, f) for f in fronts) for r in rears)
+        return g
     p = space.ring.p
-    return tuple(tuple(action_value(r, f) % p for f in fronts) for r in rears)
+    return tuple(tuple(v % p for v in row) for row in g)
 
 
 @dataclass(frozen=True)
 class GramResult:
+    """A Gram matrix with the basis it is taken on: a permitted space, or
+    the 2-cocycle space of `intersect.cup_gram`."""
+
     matrix: tuple          # dim x dim ints, residues mod p over GF(p^n)
-    space: PermittedSpace
+    space: PermittedSpace  # or intersect.TwoCocycleSpace
 
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def int_matrix(self) -> list[list[int]]:
-        return [list(row) for row in self.matrix]
 
 
 def gram_matrix(t: Triangulation, ring: GF | None = None,

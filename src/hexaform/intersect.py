@@ -2,10 +2,12 @@
 
 Triangles carry single values forming a simplicial 2-cocycle; the
 pentachoron cocycle multiplies the front triangle value of one coloring
-with the rear triangle value of another.  On a closed oriented manifold
-the resulting Gram matrix, quotiented by coboundaries, is the classical
-intersection form; this module also probes whether the hexagon Z-form
-agrees with it.
+with the rear triangle value of another.  That is the signed pentachoron
+pairing of `hexagon.pairing` on triangles instead of tetrahedra, so the
+cup Gram is a product of face rows like the hexagon Gram.  On a closed
+oriented manifold the resulting Gram matrix, quotiented by coboundaries,
+is the classical intersection form; this module also probes whether the
+hexagon Z-form agrees with it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import linalg
-from .hexagon import gram_matrix
+from .hexagon import GramResult, gram_matrix, pairing
 from .invariants import FormInvariants, form_invariants
 from .triangulation import Triangulation
 
@@ -50,33 +52,13 @@ def solve_2cocycles(t: Triangulation) -> TwoCocycleSpace:
     return TwoCocycleSpace(triangles, tuple(basis))
 
 
-@dataclass(frozen=True)
-class IntersectionGram:
-    matrix: tuple
-    space: TwoCocycleSpace
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def int_matrix(self) -> list[list[int]]:
-        return [list(row) for row in self.matrix]
-
-
-def cup_gram(t: Triangulation) -> IntersectionGram:
+def cup_gram(t: Triangulation) -> GramResult:
     """Gram matrix of sum over pentachora of sign * x_front * xi_rear on the
-    integral 2-cocycle basis (both coloring copies share the basis)."""
-    if t.signs is None:
-        raise ValueError("triangulation must be oriented (signs missing)")
+    integral 2-cocycle basis (both coloring copies share the basis): the
+    pairing of the front triangle u[:3] with the rear triangle u[2:]."""
     space = solve_2cocycles(t)
-    idx = {s: i for i, s in enumerate(space.triangles)}
-    terms = []
-    for sign, u in zip(t.signs, t.pentachora):
-        i, j, k, l, m = u
-        terms.append((sign, idx[(i, j, k)], idx[(k, l, m)]))
-    g = tuple(tuple(sum(s * a[fi] * b[ri] for s, fi, ri in terms)
-                    for b in space.basis) for a in space.basis)
-    return IntersectionGram(g, space)
+    return GramResult(pairing(t, space.triangles, space.basis, slice(0, 3), slice(2, 5)),
+                      space)
 
 
 def reduced_cup_invariants(t: Triangulation) -> FormInvariants:
@@ -94,7 +76,7 @@ def reduced_cup_invariants(t: Triangulation) -> FormInvariants:
     edges, delta1 = _cocycle_rows(t, 1)
     rank, _ = linalg.sparse_kernel(delta1, len(edges))
     dim = gram.dim - rank
-    inv = form_invariants(gram.int_matrix())
+    inv = form_invariants(gram.matrix)
     return replace(inv, total_dim=dim, radical_dim=dim - inv.rank)
 
 
@@ -111,7 +93,7 @@ def compare_forms(t: Triangulation) -> dict:
         raise ValueError("comparison needs a closed triangulation")
     if t.signs is None:
         raise ValueError("triangulation must be oriented (signs missing)")
-    hexagon_inv = form_invariants(gram_matrix(t).int_matrix())
+    hexagon_inv = form_invariants(gram_matrix(t).matrix)
     cup_inv = reduced_cup_invariants(t)
     h_json, c_json = hexagon_inv.to_json(), cup_inv.to_json()
     equal = [f for f in COMPARED_FIELDS if h_json[f] == c_json[f]]

@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import prod
 
 from . import linalg
-from .gf import GF, _decode, make_field
-from .hexagon import _gram, permitted_space
+from .gf import GF, FieldError, _decode, make_field
+from .hexagon import PermittedSpace, _gram, permitted_space
 from .triangulation import Triangulation
 
 DEFAULT_CAP = 10_000_000
@@ -39,6 +39,22 @@ def enumeration_cap(explicit: int | None = None) -> int:
         return explicit
     env = os.environ.get("HEXAFORM_CAP")
     return int(env) if env else DEFAULT_CAP
+
+
+def capped_space(t: Triangulation, p: int, n: int,
+                 cap: int | None = None) -> tuple[PermittedSpace, int]:
+    """The permitted space of t over GF(p^n) and its number of colorings
+    (p^n)^dim, refused past the cap.  The space is solved over GF(p), whose
+    basis is the GF(p^n) one, so GF(p^n) itself is never built for a
+    refusal: finding its modulus takes time exponential in n."""
+    if n < 1:
+        raise FieldError("extension degree must be >= 1")
+    space = permitted_space(t, make_field(p))
+    total = (p ** n) ** space.dim
+    limit = enumeration_cap(cap)
+    if total > limit:
+        raise CapExceeded(total, limit)
+    return space, total
 
 
 # --- congruence invariants of the integral form ----------------------------
@@ -417,13 +433,7 @@ def probability_distribution(t: Triangulation, spec: FrobeniusSpec,
         raise ValueError(f"unknown value model {value_model!r}")
     if t.signs is None:
         raise ValueError("triangulation must be oriented (signs missing)")
-    field = spec.field()
-    space = permitted_space(t, field)
-    d = space.dim
-    total = field.q ** d
-    limit = enumeration_cap(cap)
-    if total > limit:
-        raise CapExceeded(total, limit)
+    space, total = capped_space(t, spec.p, spec.n, cap)
     counts = _value_counts(_gram(t, space), spec, value_model)
     return ValueDistribution(value_model, spec, counts, total)
 

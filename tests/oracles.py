@@ -9,7 +9,7 @@ import numpy as np
 
 from hexaform import linalg
 from hexaform.gf import GF
-from hexaform.hexagon import action_value, face_vectors, permitted_space
+from hexaform.hexagon import PermittedSpace, _gram, permitted_space
 from hexaform.invariants import (CapExceeded, FrobeniusSpec, ValueDistribution,
                                  enumeration_cap)
 from hexaform.manifolds import builtin_manifold
@@ -180,11 +180,19 @@ def action_by_phi(t, latin, greek):
 
 
 def action_of(t, latin: Coloring, greek: Coloring):
-    """The package's S on two colorings: the Latin rear-face vector dotted
-    with the Greek front-face vector."""
+    """The package's S on two colorings: the (Latin, Greek) entry of the
+    Gram that `hexagon._gram` takes on the two value vectors."""
     assert latin.tets == greek.tets
-    rears, fronts = face_vectors(t, latin.tets, [latin.values, greek.values])
-    return action_value(rears[0], fronts[1])
+    pair = PermittedSpace(None, latin.tets, (latin.values, greek.values))
+    return _gram(t, pair)[0][1]
+
+
+def cup_by_terms(t, space, a, b):
+    """The cup pairing of two triangle cochains term by term: the sum over
+    pentachora u of sign_u * a(u[:3]) * b(u[2:])."""
+    idx = {s: i for i, s in enumerate(space.triangles)}
+    return sum(sign * a[idx[u[:3]]] * b[idx[u[2:]]]
+               for sign, u in zip(t.signs, t.pentachora))
 
 
 def gram_by_phi(t, space) -> list[list]:

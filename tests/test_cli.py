@@ -7,7 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hexaform import gf
 from hexaform.cli import main
 from hexaform.gf import GFElem
 from hexaform.manifolds import builtin_manifold
@@ -17,6 +20,29 @@ from oracles import forbid_hermite
 SINGLE = Triangulation("one", ((0, 1, 2, 3, 4),))
 DISCONNECTED = Triangulation("two", ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
 GOLDEN = Path(__file__).parent / "golden"
+
+
+# any JSON value, and objects shaped like a triangulation file whose every
+# field is well formed, except now and then
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+    | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.sampled_from(("name", "vertices", "pentachora", "signs")), inner),
+    max_leaves=30)
+
+
+def mostly(good):
+    return st.sampled_from((good,) * 5 + (JSON_VALUES,)).flatmap(lambda s: s)
+
+
+JSON_DOCUMENTS = JSON_VALUES | st.fixed_dictionaries(
+    {"name": mostly(st.text(max_size=3)),
+     "vertices": mostly(st.integers(7, 9)),
+     "pentachora": mostly(st.lists(
+         mostly(st.lists(st.integers(0, 7), min_size=5, max_size=5, unique=True).map(sorted)),
+         min_size=1, max_size=8))},
+    optional={"signs": mostly(st.lists(st.sampled_from((1, -1)), max_size=8))})
 
 
 def run(capsys, *argv):
@@ -226,6 +252,44 @@ class TestExitCodes:
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "invariant", "--file", str(tmp_path / "no.json"))
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("manifold", "--file"),
+        ("invariant", "--manifold", "s4", "--out"),
+        ("manifold", "--manifold", "s4", "--save"),
+    ], ids=["file", "out", "save"])
+    def test_directory_as_file(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("invariant", "--manifold", "s4", "--mode", "prob"),
+        ("verify", "--manifold", "s4", "--mode", "prob", "--random", "1", "--seed", "1"),
+    ], ids=["invariant", "verify"])
+    def test_cap_refuses_before_building_the_field(self, capsys, monkeypatch, argv):
+        # finding a degree-40 modulus by trial division would not finish;
+        # the refusal needs only the GF(p) space
+        irreducible = gf._irreducible
+
+        def degree_one_only(m, p):
+            if len(m) > 2:
+                raise AssertionError("GF(p^n) built for a refusal")
+            return irreducible(m, p)
+        monkeypatch.setattr(gf, "_irreducible", degree_one_only)
+        code, out, err = run(capsys, *argv, "--p", "2", "--n", "40")
+        assert code == 3 and out == ""
+        assert err.startswith("cap exceeded: ")
+
+    @given(doc=JSON_DOCUMENTS)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_documents(self, capsys, tmp_path, doc):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        for command in ("manifold", "compare"):
+            code, _, err = run(capsys, command, "--file", str(path))
+            assert code in (0, 1, 2, 5), (command, doc, err)
 
     @pytest.mark.parametrize("argv", [
         ("frobenius", "--p", "4"),

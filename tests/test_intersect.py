@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexaform import linalg
+from hexaform import hexagon, linalg
 from hexaform.intersect import (COMPARED_FIELDS, _cocycle_rows, compare_forms,
                                 cup_gram, reduced_cup_invariants, solve_2cocycles)
 from hexaform.manifolds import builtin_manifold
@@ -116,9 +116,9 @@ class TestCupGram:
     def test_orientation_reversal_negates(self):
         t = builtin_manifold("cp2")
         flipped = orient(t.without_signs(), anchor=0, anchor_sign=-1)
-        g = cup_gram(t).int_matrix()
-        h = cup_gram(flipped).int_matrix()
-        assert h == [[-x for x in row] for row in g]
+        g = cup_gram(t).matrix
+        h = cup_gram(flipped).matrix
+        assert h == tuple(tuple(-x for x in row) for row in g)
         a = reduced_cup_invariants(t)
         b = reduced_cup_invariants(flipped)
         assert a.signature == (b.signature[1], b.signature[0])
@@ -132,28 +132,45 @@ class TestCupGram:
         with pytest.raises(ValueError, match="closed"):
             reduced_cup_invariants(SINGLE)
 
+    @pytest.mark.parametrize("make", [oracles.cp2_walk,
+                                      lambda: oracles.product_manifold("s1xs3"),
+                                      lambda: oracles.product_manifold("s2xs2")],
+                             ids=["cp2-walk", "s1xs3", "s2xs2"])
+    def test_matches_cup_by_terms(self, make):
+        t = make()
+        gram = cup_gram(t)
+        basis = gram.space.basis
+        assert gram.matrix == tuple(tuple(oracles.cup_by_terms(t, gram.space, a, b)
+                                          for b in basis) for a in basis)
+
+    def test_one_action_value_call_per_entry(self, monkeypatch):
+        calls = []
+        original = hexagon.action_value
+
+        def counted(left, right):
+            calls.append(None)
+            return original(left, right)
+        monkeypatch.setattr(hexagon, "action_value", counted)
+        g = cup_gram(builtin_manifold("cp2"))
+        assert g.dim == 29
+        assert len(calls) == 29 ** 2
+
     def test_coboundaries_in_radical(self):
         # closed manifold: each edge coboundary pairs to zero with every
         # cocycle, on either side of the cup product
         for t in CLOSED:
             gram = cup_gram(t)
-            idx = {s: i for i, s in enumerate(gram.space.triangles)}
-            terms = [(sign, idx[u[:3]], idx[u[2:]])
-                     for sign, u in zip(t.signs, t.pentachora)]
-
-            def cup(a, b):
-                return sum(s * a[fi] * b[ri] for s, fi, ri in terms)
-
-            assert [[cup(a, b) for b in gram.space.basis]
-                    for a in gram.space.basis] == gram.int_matrix()
+            space = gram.space
+            assert [[oracles.cup_by_terms(t, space, a, b) for b in space.basis]
+                    for a in space.basis] == [list(row) for row in gram.matrix]
             edges, delta1 = dense_cocycle_rows(t, 1)
             _, delta2 = dense_cocycle_rows(t, 2)
             for e in range(len(edges)):
                 b = [row[e] for row in delta1]
                 assert all(sum(c * x for c, x in zip(row, b)) == 0 for row in delta2)
-                for z in gram.space.basis:
-                    assert cup(b, z) == 0
-                    assert cup(z, b) == 0
+                for z in space.basis:
+                    assert oracles.cup_by_terms(t, space, b, z) == 0
+                    assert oracles.cup_by_terms(t, space, z, b) == 0
 
     def test_quotient_dimension(self):
         # dim H^2 = dim Z^2 - rank B^2, the rank over Q of the edge coboundaries

@@ -134,7 +134,7 @@ class TestFormInvariants:
 
     def test_matches_complement_route_on_hexagon_grams(self):
         for t in (builtin_manifold("s4"), builtin_manifold("cp2"), cp2_walk()):
-            g = gram_matrix(t).int_matrix()
+            g = [list(row) for row in gram_matrix(t).matrix]
             assert asdict(form_invariants(g)) == asdict(complement_route_invariants(g))
 
 
