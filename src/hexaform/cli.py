@@ -9,6 +9,7 @@ Identical arguments (including --seed) produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -248,6 +249,7 @@ def _add_prob_args(p: argparse.ArgumentParser) -> None:
                         "this (default 10^7, or HEXAFORM_CAP)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hexaform",
                      description="PL 4-manifold invariants from hexagon relations")

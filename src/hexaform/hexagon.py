@@ -5,14 +5,16 @@ A coloring assigns a pair (x_t, y_t) to every tetrahedron t, held as one
 value vector: the x-block, then the y-block, tetrahedra sorted
 lexicographically.  It is permitted when, on every pentachoron, the
 y-column equals the constraint matrix applied to the x-column (faces taken
-in inverse lexicographic order).  The pentachoron cocycle multiplies the
-(x+y) of one coloring on the rear face u[1:] with the (x+y) of another on
-the front face u[:4]; summing over pentachora with orientation signs gives
-the action S.  On a basis, S(a, b) is the dot product of a's signed
-rear-face row with b's front-face row, so the Gram matrix is the product
-R^T F of the two face matrices.  `pairing` computes that product for any
-two faces of a pentachoron; the cup form of `intersect` pairs the front
-and rear triangles through it.
+in inverse lexicographic order): five sparse rows per pentachoron, whose
+kernel over Z or mod p is one `linalg.sparse_kernel` call.  The
+pentachoron cocycle multiplies the (x+y) of one coloring on the rear face
+u[1:] with the (x+y) of another on the front face u[:4]; summing over
+pentachora with orientation signs gives the action S.  On a basis,
+S(a, b) is the dot product of a's signed rear-face row with b's
+front-face row, so the Gram matrix is the product R^T F of the two face
+matrices.  `pairing` computes that product for any two faces of a
+pentachoron; the cup form of `intersect` pairs the front and rear
+triangles through it.
 
 The constraint matrix is integral, so over GF(p^n) the permitted space is
 the GF(p) space tensored up: its basis entries are plain residues mod p,
@@ -43,34 +45,45 @@ class ConstraintSystem:
     """Linear system cutting out the permitted colorings of a triangulation.
 
     Variables: one x_t and one y_t per tetrahedron, tetrahedra sorted
-    lexicographically, x-block before y-block.  Rows are integer for every
-    ring; over GF(p^n) the solution basis is reduced mod p.
+    lexicographically, x-block before y-block.  Five sparse rows
+    {column: entry} per pentachoron, integer for every ring; over GF(p^n)
+    the solution basis is reduced mod p.
     """
 
     triangulation: Triangulation
     tets: tuple
-    rows: tuple
+    sparse_rows: tuple  # one {column: nonzero entry} dict per row
     ring: GF | None = None  # None means Z
 
     @property
     def num_variables(self) -> int:
         return 2 * len(self.tets)
 
+    @property
+    def rows(self) -> tuple:
+        """The rows as dense tuples of num_variables entries."""
+        out = []
+        for entries in self.sparse_rows:
+            row = [0] * self.num_variables
+            for j, v in entries.items():
+                row[j] = v
+            out.append(tuple(row))
+        return tuple(out)
+
 
 def build_constraints(t: Triangulation, ring: GF | None = None,
                       r_matrix=R_MATRIX) -> ConstraintSystem:
+    """Row r of pentachoron u reads y(face r) - sum_c R[r][c] x(face c) = 0."""
     tets = tuple(t.tetrahedra())
     idx = {tet: i for i, tet in enumerate(tets)}
     nt = len(tets)
     rows = []
     for u in t.pentachora:
-        fs = faces(u)
-        for r in range(5):
-            row = [0] * (2 * nt)
-            row[nt + idx[fs[r]]] = 1
-            for c in range(5):
-                row[idx[fs[c]]] -= r_matrix[r][c]
-            rows.append(tuple(row))
+        at = [idx[f] for f in faces(u)]
+        for r, coeffs in enumerate(r_matrix):
+            row = {j: -c for j, c in zip(at, coeffs) if c}
+            row[nt + at[r]] = 1
+            rows.append(row)
     return ConstraintSystem(t, tets, tuple(rows), ring)
 
 
@@ -90,46 +103,20 @@ class PermittedSpace:
 
 
 def solve_permitted(system: ConstraintSystem) -> PermittedSpace:
-    """Exact basis of all permitted colorings, by one sparse kernel route
-    for every ring.
+    """Exact basis of all permitted colorings: one `linalg.sparse_kernel`
+    call on the whole system, over Z or mod p over GF(p^n).
 
-    Each row carries exactly one y-entry, with coefficient 1.  The first
-    row of a tetrahedron defines its y_t; each later row of the same
-    tetrahedron minus that defining row is a row on the x-variables alone.
-    The kernel of that x-only system, lifted by y = -(defining x-part) x,
-    is the kernel of the whole system.  `linalg.sparse_kernel` gives the
-    x-kernel over Z, or mod p over GF(p^n): unit-pivot elimination, with a
-    Smith decomposition only of whatever rows no +-1 pivot clears.
-
-    Over Z the basis is the lifted kernel columns, saturated and
-    deterministic; no report depends on which basis spans the lattice.
-    Over GF(p^n) it is their reduction mod p, as ints in [0, p):
-    deterministic, but not in reduced-echelon form.
+    Each y-column is a unit column in at most two rows, one per pentachoron
+    on its tetrahedron, so the unit-pivot elimination clears it and
+    back-substitution lifts y; a Smith decomposition runs only on whatever
+    rows no +-1 pivot clears.
+    Over Z the basis is the kernel columns, saturated and deterministic;
+    no report depends on which basis spans the lattice.  Over GF(p^n) it
+    is their reduction mod p, as ints in [0, p): deterministic, but not
+    in reduced-echelon form.
     """
-    nt = len(system.tets)
-    defining: dict[int, dict[int, int]] = {}
-    x_rows = []
-    for row in system.rows:
-        entries = {j: v for j, v in enumerate(row) if v}
-        ys = [j for j in entries if j >= nt]
-        if len(ys) != 1 or entries.pop(ys[0]) != 1:
-            raise ValueError("each constraint row needs exactly one y-entry, equal to 1")
-        t = ys[0] - nt
-        if t in defining:
-            diff = dict(entries)
-            for j, v in defining[t].items():
-                w = diff.get(j, 0) - v
-                if w:
-                    diff[j] = w
-                else:
-                    del diff[j]
-            x_rows.append(diff)
-        else:
-            defining[t] = entries
     p = None if system.ring is None else system.ring.p
-    _, cols = linalg.sparse_kernel(x_rows, nt, p)
-    basis = [x + [-sum(v * x[j] for j, v in defining[t].items()) for t in range(nt)]
-             for x in cols]
+    _, basis = linalg.sparse_kernel(list(system.sparse_rows), system.num_variables, p)
     if p is not None:
         basis = [[v % p for v in vec] for vec in basis]
     return PermittedSpace(system.ring, system.tets, tuple(basis))

@@ -98,7 +98,8 @@ def form_invariants(g: list[list[int]]) -> FormInvariants:
     G is congruent over Z to R (+) 0 with R nondegenerate (split off the
     saturated radical), so everything is read off G itself: rank and
     elementary divisors from the nonzero diagonal of one Smith normal form,
-    the signature from Sylvester's law of inertia, parity from G's diagonal
+    the signature from the signs of G's leading minors after a congruence
+    (Sylvester's law of inertia, `linalg.inertia`), parity from G's diagonal
     (x^T G x = sum x_i G_ii mod 2, so G is even exactly when R is), and
     det R = (-1)^p_minus * d_1 * ... * d_r.
     """
@@ -202,41 +203,11 @@ def _legendre(a: int, p: int) -> int:
     return 0 if a == 0 else (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
 
 
-def _diagonal(a: list[list[int]], p: int) -> list[int]:
-    """Nonzero diagonal of a congruence diagonalisation of the symmetric
-    matrix a over GF(p), p odd."""
-    a = [row[:] for row in a]
-    live = list(range(len(a)))
-    diag = []
-    while live:
-        piv = next((i for i in live if a[i][i]), None)
-        if piv is None:
-            pair = next(((i, j) for i in live for j in live if a[i][j]), None)
-            if pair is None:
-                break
-            # e_i <- e_i + e_j makes the (i, i) entry 2 a_ij, a unit
-            piv, j = pair
-            for k in live:
-                a[piv][k] = (a[piv][k] + a[j][k]) % p
-            for k in live:
-                a[k][piv] = (a[k][piv] + a[k][j]) % p
-        live.remove(piv)
-        row = a[piv]
-        inv = pow(row[piv], -1, p)
-        for j in live:
-            f = a[j][piv] * inv % p
-            if f:
-                aj = a[j]
-                for k in live:
-                    aj[k] = (aj[k] - f * row[k]) % p
-        diag.append(row[piv])
-    return diag
-
-
 def _odd_counts(b: list[list[int]], p: int) -> list[int]:
     """Value counts of x^T b x on GF(p)^N, p odd, from the rank r and the
     discriminant D of its symmetric part (Lidl-Niederreiter, Thms 6.26 and
-    6.27): a nondegenerate form in r variables takes w
+    6.27), the number and the last of its `linalg.congruent_minors` mod p:
+    a nondegenerate form in r variables takes w
         p^(r-1) + p^((r-1)/2) eta((-1)^((r-1)/2) w D)   times, r odd,
         p^(r-1) + v(w) p^((r-2)/2) eta((-1)^(r/2) D)     times, r even,
     with eta the quadratic character, v(0) = p - 1 and v(w) = -1 otherwise;
@@ -244,11 +215,11 @@ def _odd_counts(b: list[list[int]], p: int) -> list[int]:
     n = len(b)
     half = (p + 1) // 2
     sym = [[(b[i][j] + b[j][i]) * half % p for j in range(n)] for i in range(n)]
-    diag = _diagonal(sym, p)
-    r = len(diag)
+    minors = linalg.congruent_minors(sym, p)
+    r = len(minors)
     if r == 0:
         return [p ** n] + [0] * (p - 1)
-    disc = prod(diag) % p
+    disc = minors[-1]
     free = p ** (n - r)
     if r % 2:
         return [free * (p ** (r - 1) + p ** ((r - 1) // 2)

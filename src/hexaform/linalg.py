@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: Smith normal form, sparse kernels, inertia.
+"""Exact integer linear algebra: Smith normal form, sparse kernels, and
+the leading minors of a symmetric congruence.
 
 Matrices are plain lists of lists of Python ints (row-major); arbitrary
 precision comes for free.  Everything here is deterministic: the same input
@@ -8,9 +9,11 @@ reproducible Gram matrices.
 The rest of the package reads kernels and ranks off `sparse_kernel`, which
 eliminates by +-1 pivots and leaves only the rows they cannot clear to
 `smith_normal_form`; elementary divisors off `smith_normal_form`; and
-signatures off `inertia`.  Its Z kernels are the saturated columns that
-`sparse_kernel` returns: every report is a congruence invariant, so none
-depends on which basis spans the lattice.  `det` (Bareiss),
+signatures and discriminants off `congruent_minors`, one fraction-free
+symmetric elimination over Z or mod an odd prime.  Its Z kernels are the
+saturated columns that `sparse_kernel` returns: every report is a
+congruence invariant, so none depends on which basis spans the lattice.
+A Smith form keeps only its column transform V.  `det` (Bareiss),
 `unimodular_inverse` (Fraction Gauss-Jordan) and `hermite_columns` (the
 canonical basis of a lattice) have no caller in the package: they are
 independent routes that the tests use as oracles.
@@ -32,9 +35,9 @@ def identity(n: int) -> Matrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V == D with D diagonal, d_1 | d_2 | ... >= 0, U, V unimodular."""
+    """U @ A @ V == D with D diagonal, d_1 | d_2 | ... >= 0, U, V unimodular;
+    U is not kept."""
 
-    u: Matrix
     d: Matrix
     v: Matrix
 
@@ -82,7 +85,6 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
         raise ValueError("matrix must be nonempty")
     m, n = len(a), len(a[0])
     d = [row[:] for row in a]
-    u = identity(m)
     v = identity(n)
 
     def pivot_search(t: int) -> tuple[int, int] | None:
@@ -108,13 +110,11 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
         i, j = loc
         if i != t:
             _swap_rows(d, t, i)
-            _swap_rows(u, t, i)
         if j != t:
             _swap_cols(d, t, j)
             _swap_cols(v, t, j)
         if d[t][t] < 0:
             _scale_row(d, t, -1)
-            _scale_row(u, t, -1)
         p = d[t][t]
         # clear column t
         dirty = False
@@ -122,7 +122,6 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
             if d[i][t]:
                 q = d[i][t] // p
                 _add_row(d, i, t, -q)
-                _add_row(u, i, t, -q)
                 if d[i][t]:
                     dirty = True
         if dirty:
@@ -149,7 +148,6 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
                 break
         if culprit is not None:
             _add_row(d, t, culprit, 1)
-            _add_row(u, t, culprit, 1)
             continue
         t += 1
 
@@ -166,7 +164,7 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
                 # col i += col i+1, then unimodular row mix of rows i, i+1
                 _add_col(d, i, i + 1, 1)
                 _add_col(v, i, i + 1, 1)
-                _row_mix(d, u, i, i + 1, x, y, -(a_j // g), a_i // g)
+                _row_mix(d, i, i + 1, x, y, -(a_j // g), a_i // g)
                 # now D[i][i] = g, D[i+1][i] = 0, D[i][i+1] = y*a_j
                 q = d[i][i + 1] // g
                 _add_col(d, i + 1, i, -q)
@@ -175,8 +173,7 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
     for i in range(k):
         if d[i][i] < 0:
             _scale_row(d, i, -1)
-            _scale_row(u, i, -1)
-    return SmithDecomposition(u, d, v)
+    return SmithDecomposition(d, v)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int]:
@@ -192,12 +189,11 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _row_mix(d: Matrix, u: Matrix, i: int, j: int, a: int, b: int, c: int, e: int) -> None:
+def _row_mix(d: Matrix, i: int, j: int, a: int, b: int, c: int, e: int) -> None:
     # rows (i, j) <- (a*row_i + b*row_j, c*row_i + e*row_j); a*e - b*c must be +-1
-    for mat in (d, u):
-        ri, rj = mat[i], mat[j]
-        mat[i] = [a * x + b * y for x, y in zip(ri, rj)]
-        mat[j] = [c * x + e * y for x, y in zip(ri, rj)]
+    ri, rj = d[i], d[j]
+    d[i] = [a * x + b * y for x, y in zip(ri, rj)]
+    d[j] = [c * x + e * y for x, y in zip(ri, rj)]
 
 
 def det(a: Matrix) -> int:
@@ -373,51 +369,51 @@ def sparse_kernel(rows: list[dict[int, int]], n: int,
     return rank, cols
 
 
-def inertia(g: Matrix) -> tuple[int, int]:
-    """(p_plus, p_minus) of a symmetric integer matrix, by exact rational
-    symmetric Gaussian elimination (Sylvester's law of inertia)."""
-    n = len(g)
-    a = [[Fraction(x) for x in row] for row in g]
-    pos = neg = 0
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if a[i][i]), None)
+def congruent_minors(a: Matrix, p: int | None = None) -> list[int]:
+    """Nonzero leading minors D_1, ..., D_r of a matrix congruent to the
+    symmetric matrix a, r its rank; over Z, or mod an odd prime p.
+
+    Symmetric fraction-free elimination (Bareiss 1968): after k pivots the
+    live entries are D_k times the Schur complement, so each update
+    (D_k a_ij - a_ik a_kj) / D_(k-1) divides exactly, mod p by the inverse
+    of D_(k-1).  The pivot is the first live nonzero diagonal entry;
+    without one, e_i <- e_i + e_j on the first nonzero a_ij makes the
+    (i, i) entry 2 a_ij, nonzero over Z and mod an odd p.  The ratios
+    D_k / D_(k-1) are the diagonal of a congruent diagonal form: their
+    signs give the inertia, and D_r mod p the discriminant.
+    """
+    m = [[x % p if p else x for x in row] for row in a]
+    minors = []
+    prev = 1
+    while m:
+        n = len(m)
+        piv = next((i for i in range(n) if m[i][i]), None)
         if piv is None:
-            loc = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j]:
-                        loc = (i, j)
-                        break
-                if loc:
-                    break
-            if loc is None:
+            pair = next(((i, j) for i in range(n) for j in range(n) if m[i][j]), None)
+            if pair is None:
                 break
-            i, j = loc
-            # symmetric row+col add creates a nonzero diagonal at i
-            for col in range(n):
-                a[i][col] += a[j][col]
-            for row in range(n):
-                a[row][i] += a[row][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for row in a:
-                row[k], row[piv] = row[piv], row[k]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
+            piv, j = pair
+            m[piv] = [x + y for x, y in zip(m[piv], m[j])]
+            for row in m:
+                row[piv] += row[j]
+        top = m[piv]
+        d = top[piv] % p if p else top[piv]
+        rest = [i for i in range(n) if i != piv]
+        # the live block shrinks to the next scaled Schur complement
+        if p:
+            inv = pow(prev, -1, p)
+            m = [[(d * m[i][k] - m[i][piv] * top[k]) * inv % p for k in rest] for i in rest]
         else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / d
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-        for j in range(k + 1, n):
-            if a[k][j]:
-                f = a[k][j] / d
-                for i in range(k, n):
-                    a[i][j] -= f * a[i][k]
-        k += 1
-    return pos, neg
+            m = [[(d * m[i][k] - m[i][piv] * top[k]) // prev for k in rest] for i in rest]
+        minors.append(d)
+        prev = d
+    return minors
+
+
+def inertia(g: Matrix) -> tuple[int, int]:
+    """(p_plus, p_minus) of a symmetric integer matrix (Sylvester's law of
+    inertia): p_minus is the number of sign changes along 1, D_1, ..., D_r
+    of `congruent_minors`."""
+    minors = congruent_minors(g)
+    neg = sum(1 for a, b in zip([1] + minors, minors) if (a < 0) != (b < 0))
+    return len(minors) - neg, neg

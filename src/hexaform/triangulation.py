@@ -408,7 +408,7 @@ def from_dict(doc: dict, source: str = "<dict>") -> Triangulation:
     if not isinstance(doc["name"], str):
         raise MalformedFile(f"{source}: name must be a string")
     vertices = doc["vertices"]
-    if not isinstance(vertices, int) or isinstance(vertices, bool) or vertices < 0:
+    if type(vertices) is not int or vertices < 0:
         raise MalformedFile(f"{source}: vertices must be an int >= 0")
     if not isinstance(doc["pentachora"], list) or not doc["pentachora"]:
         raise MalformedFile(f"{source}: pentachora must be a nonempty list")
@@ -418,7 +418,7 @@ def from_dict(doc: dict, source: str = "<dict>") -> Triangulation:
     pents = []
     for i, raw in enumerate(doc["pentachora"]):
         if (not isinstance(raw, list) or len(raw) != 5
-                or any(not isinstance(x, int) for x in raw)):
+                or any(type(x) is not int for x in raw)):
             raise MalformedFile(f"{source}: pentachora[{i}] must be 5 ints")
         if len(set(raw)) != 5 or raw != sorted(raw):
             raise MalformedFile(f"{source}: pentachora[{i}] = {raw} must be strictly increasing")
@@ -426,7 +426,8 @@ def from_dict(doc: dict, source: str = "<dict>") -> Triangulation:
             raise MalformedFile(f"{source}: pentachora[{i}] uses vertex >= declared count")
         pents.append(tuple(raw))
     if signs is not None:
-        if len(signs) != len(pents) or any(s not in (1, -1) for s in signs):
+        if len(signs) != len(pents) or any(type(s) is not int or s not in (1, -1)
+                                           for s in signs):
             raise MalformedFile(f"{source}: signs must be +-1, one per pentachoron")
         signs = tuple(signs)
     try:

@@ -2,6 +2,7 @@
 and the seeded inputs they share."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from hexaform import linalg
 from hexaform.gf import GF
-from hexaform.hexagon import PermittedSpace, _gram, permitted_space
+from hexaform.hexagon import R_MATRIX, PermittedSpace, _gram, permitted_space
 from hexaform.invariants import (CapExceeded, FrobeniusSpec, ValueDistribution,
                                  enumeration_cap)
 from hexaform.manifolds import builtin_manifold
@@ -92,6 +93,105 @@ def rank_mod(rows, p):
         rank += 1
     return rank
 
+
+
+def fraction_inertia(g):
+    """(p_plus, p_minus) of a symmetric integer matrix, by exact rational
+    symmetric Gaussian elimination (Sylvester's law of inertia)."""
+    n = len(g)
+    a = [[Fraction(x) for x in row] for row in g]
+    pos = neg = 0
+    k = 0
+    while k < n:
+        piv = next((i for i in range(k, n) if a[i][i]), None)
+        if piv is None:
+            loc = None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if a[i][j]:
+                        loc = (i, j)
+                        break
+                if loc:
+                    break
+            if loc is None:
+                break
+            i, j = loc
+            # symmetric row+col add creates a nonzero diagonal at i
+            for col in range(n):
+                a[i][col] += a[j][col]
+            for row in range(n):
+                a[row][i] += a[row][j]
+            piv = i
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for row in a:
+                row[k], row[piv] = row[piv], row[k]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] / d
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+        for j in range(k + 1, n):
+            if a[k][j]:
+                f = a[k][j] / d
+                for i in range(k, n):
+                    a[i][j] -= f * a[i][k]
+        k += 1
+    return pos, neg
+
+
+def gf_diagonal(a, p):
+    """Nonzero diagonal of a congruence diagonalisation of the symmetric
+    matrix a over GF(p), p odd."""
+    a = [[x % p for x in row] for row in a]
+    live = list(range(len(a)))
+    diag = []
+    while live:
+        piv = next((i for i in live if a[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in live for j in live if a[i][j]), None)
+            if pair is None:
+                break
+            # e_i <- e_i + e_j makes the (i, i) entry 2 a_ij, a unit
+            piv, j = pair
+            for k in live:
+                a[piv][k] = (a[piv][k] + a[j][k]) % p
+            for k in live:
+                a[k][piv] = (a[k][piv] + a[k][j]) % p
+        live.remove(piv)
+        row = a[piv]
+        inv = pow(row[piv], -1, p)
+        for j in live:
+            f = a[j][piv] * inv % p
+            if f:
+                aj = a[j]
+                for k in live:
+                    aj[k] = (aj[k] - f * row[k]) % p
+        diag.append(row[piv])
+    return diag
+
+
+def dense_constraints(t, r_matrix=R_MATRIX):
+    """The 5P x 2T constraint matrix as dense rows, built entry by entry:
+    row r of pentachoron u is y(face r) - sum_c R[r][c] x(face c)."""
+    tets = tuple(t.tetrahedra())
+    idx = {tet: i for i, tet in enumerate(tets)}
+    nt = len(tets)
+    rows = []
+    for u in t.pentachora:
+        fs = faces(u)
+        for r in range(5):
+            row = [0] * (2 * nt)
+            row[nt + idx[fs[r]]] = 1
+            for c in range(5):
+                row[idx[fs[c]]] -= r_matrix[r][c]
+            rows.append(tuple(row))
+    return tuple(rows)
 
 # --- colorings as objects, and the cocycle term by term --------------------
 

@@ -7,16 +7,16 @@ import pytest
 
 from hexaform import hexagon, linalg
 from hexaform.gf import gf_nullspace, make_field
-from hexaform.hexagon import (R_MATRIX, ConstraintSystem, build_constraints,
-                              gram_matrix, pairing, permitted_space,
-                              solve_permitted, verify_cocycle)
+from hexaform.hexagon import (R_MATRIX, build_constraints, gram_matrix, pairing,
+                              permitted_space, verify_cocycle)
 from hexaform.manifolds import builtin_manifold
 from hexaform.triangulation import (MOVE_KINDS, Triangulation, apply_move,
                                     boundary_delta5, faces, find_moves)
 from oracles import (Coloring, action_by_phi, action_of, coboundary_terms,
-                     coboundary_terms_alt, colorings, combination, cp2_walk, dense_kernel,
-                     forbid_smith, gram_by_phi, mat_mul, mat_vec, phi, phi_expanded,
-                     rank_mod, same_saturated_lattice, symmetry_defect, transpose)
+                     coboundary_terms_alt, colorings, combination, cp2_walk,
+                     dense_constraints, dense_kernel, forbid_smith, gram_by_phi, mat_mul,
+                     mat_vec, phi, phi_expanded, rank_mod, same_saturated_lattice,
+                     symmetry_defect, transpose)
 
 SINGLE = Triangulation("one", ((0, 1, 2, 3, 4),))
 
@@ -109,6 +109,17 @@ class TestConstraints:
         for row in c.rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
+    @pytest.mark.parametrize("make,r_matrix", [
+        (lambda: SINGLE, R_MATRIX), (lambda: builtin_manifold("s4"), R_MATRIX),
+        (lambda: builtin_manifold("cp2"), R_MATRIX), (cp2_walk, R_MATRIX),
+        (lambda: builtin_manifold("cp2"), PERTURBED_R),
+    ], ids=["single", "s4", "cp2", "cp2-walk", "cp2-perturbed"])
+    def test_sparse_rows_match_the_dense_builder(self, make, r_matrix):
+        t = make()
+        c = build_constraints(t, r_matrix=r_matrix)
+        assert c.rows == dense_constraints(t, r_matrix)
+        assert all(v for row in c.sparse_rows for v in row.values())
+
 
 class TestPermittedSpace:
     def test_single_pentachoron_dims(self):
@@ -193,12 +204,6 @@ class TestSmithRoute:
             for vec in space.basis:
                 for row in rows:
                     assert sum(c * v for c, v in zip(row, vec)) % p == 0
-
-    def test_rows_need_one_unit_y_entry(self):
-        sys = build_constraints(SINGLE)
-        bad = sys.rows[0][:5] + (2,) + sys.rows[0][6:]
-        with pytest.raises(ValueError):
-            solve_permitted(ConstraintSystem(SINGLE, sys.tets, (bad,) + sys.rows[1:]))
 
 
 class TestPhi:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from hexaform import invariants, linalg
 from hexaform.gf import GF, frobenius_power, make_field
-from hexaform.hexagon import build_constraints, gram_matrix, permitted_space
+from hexaform.hexagon import _gram, build_constraints, gram_matrix, permitted_space
 from hexaform.invariants import (CapExceeded, FormInvariants, FrobeniusSpec,
                                  distribution_equal, enumeration_cap,
                                  form_invariants, probability_distribution)
@@ -25,18 +25,19 @@ SINGLE = orient(Triangulation("one", ((0, 1, 2, 3, 4),)))
 
 def complement_route_invariants(g):
     """Reference route: complete the saturated radical K to a basis of Z^n
-    with the columns of U^-1 past rank K, where U K V is K's Smith form,
-    then read every invariant off the nondegenerate block C^T G C."""
+    by W^T = (V^-1)^T, where K^T V is K^T's Smith form [I 0] up to a
+    unimodular row transform, so the first columns of W^T span K; then
+    read every invariant off the nondegenerate block C^T G C on the
+    remaining columns, the signature by rational elimination."""
     n = len(g)
     radical = oracles.dense_kernel(g)
     rank = n - len(radical)
     if rank == 0:
         return FormInvariants(n, n, 0, (0, 0), 1, "even", ())
     if radical:
-        k = [[col[i] for col in radical] for i in range(n)]
-        snf = linalg.smith_normal_form(k)
+        snf = linalg.smith_normal_form([list(col) for col in radical])
         assert snf.diagonal == [1] * len(radical)
-        basis = linalg.unimodular_inverse(snf.u)
+        basis = transpose(linalg.unimodular_inverse(snf.v))
     else:
         basis = linalg.identity(n)
     assert abs(linalg.det(basis)) == 1
@@ -44,7 +45,7 @@ def complement_route_invariants(g):
     reduced = mat_mul(mat_mul(transpose(c), g), c)
     parity = "even" if all(reduced[i][i] % 2 == 0 for i in range(rank)) else "odd"
     factors = tuple(linalg.smith_normal_form(reduced).diagonal)
-    return FormInvariants(n, n - rank, rank, linalg.inertia(reduced),
+    return FormInvariants(n, n - rank, rank, oracles.fraction_inertia(reduced),
                           linalg.det(reduced), parity, factors)
 
 
@@ -292,12 +293,16 @@ class TestClosedFormAgainstEnumeration:
     @pytest.mark.parametrize("p,n,k", [(2, 1, 12), (3, 1, 10), (2, 2, 8), (5, 1, 7),
                                        (2, 3, 5), (3, 2, 5)])
     def test_cp2_sub_bases(self, monkeypatch, p, n, k, model):
-        # cp2's pairing on the first and on the last k basis vectors: a
-        # nonzero symmetric form, which no enumerable manifold has
+        # cp2's pairing on k basis vectors from the first and up to the
+        # last one with a nonzero self-pairing mod p: a nonzero symmetric
+        # form, which no enumerable manifold has
         cp2 = builtin_manifold("cp2")
         spec = FrobeniusSpec.double(p, n, 1, 2)
         full = permitted_space(cp2, spec.field())
-        for part in (full.basis[:k], full.basis[-k:]):
+        gram = _gram(cp2, full)
+        live = [i for i in range(full.dim) if gram[i][i]]
+        first, last = live[0], live[-1] + 1
+        for part in (full.basis[first:first + k], full.basis[last - k:last]):
             sub = replace(full, basis=part)
             monkeypatch.setattr(invariants, "permitted_space", lambda t, f: sub)
             monkeypatch.setattr(oracles, "permitted_space", lambda t, f: sub)

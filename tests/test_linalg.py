@@ -1,12 +1,16 @@
 """Exact integer linear algebra tests: SNF, kernels, inertia, determinants."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexaform import linalg
-from oracles import dense_kernel, mat_mul, mat_vec, rank_mod, same_saturated_lattice
+from hexaform.invariants import _legendre
+from oracles import (dense_kernel, fraction_inertia, gf_diagonal, mat_mul, mat_vec,
+                     rank_mod, same_saturated_lattice)
 
 
 def frac_rank(a):
@@ -44,7 +48,6 @@ class TestSmithNormalForm:
     def test_identity(self):
         snf = linalg.smith_normal_form(linalg.identity(3))
         assert snf.d == linalg.identity(3)
-        assert snf.u == linalg.identity(3)
         assert snf.v == linalg.identity(3)
 
     def test_diag_4_6(self):
@@ -60,8 +63,6 @@ class TestSmithNormalForm:
     @settings(max_examples=150, deadline=None)
     def test_decomposition_properties(self, a):
         snf = linalg.smith_normal_form(a)
-        assert mat_mul(mat_mul(snf.u, a), snf.v) == snf.d
-        assert abs(linalg.det(snf.u)) == 1
         assert abs(linalg.det(snf.v)) == 1
         diag = snf.diagonal
         for i, j in zip(range(len(diag)), range(1, len(diag))):
@@ -76,6 +77,21 @@ class TestSmithNormalForm:
                 if i != j:
                     assert x == 0
         assert snf.rank == frac_rank(a)
+        # A V == U^-1 D for some unimodular U: the columns of A V past the
+        # rank vanish, d_j divides column j, and d_1 ... d_k is the gcd of
+        # all k x k minors of A
+        av = mat_mul(a, snf.v)
+        for j, col in enumerate(zip(*av)):
+            if j >= snf.rank:
+                assert not any(col)
+            else:
+                assert all(x % diag[j] == 0 for x in col)
+        m, n = len(a), len(a[0])
+        for k in range(1, len(diag) + 1):
+            minors = [linalg.det([[a[i][j] for j in cols] for i in rows])
+                      for rows in combinations(range(m), k)
+                      for cols in combinations(range(n), k)]
+            assert prod(diag[:k]) == gcd(*minors)
 
 
 class TestKernel:
@@ -204,6 +220,66 @@ class TestInertia:
     def test_degenerate(self):
         assert linalg.inertia([[0, 0], [0, 0]]) == (0, 0)
         assert linalg.inertia([[1, 1], [1, 1]]) == (1, 0)
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric matrices of three kinds: sparse random ones; A (+) B with
+    B's diagonal zero, so that the pair step runs after A's pivots; and
+    low-rank A^T D A, whose radical need not be spanned by unit vectors."""
+    kind = draw(st.sampled_from(["random", "zero-diagonal", "low-rank"]))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -5])
+    if kind == "low-rank":
+        n = draw(st.integers(2, 6))
+        k = draw(st.integers(1, n - 1))
+        a = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(k)]
+        d = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        return [[sum(a[r][i] * d[r] * a[r][j] for r in range(k)) for j in range(n)]
+                for i in range(n)]
+    sizes = draw(st.tuples(st.integers(0, 3), st.integers(1, 4)) if kind == "zero-diagonal"
+                 else st.tuples(st.integers(1, 6), st.just(0)))
+    n = sum(sizes)
+    g = [[0] * n for _ in range(n)]
+    for block, start in ((0, 0), (1, sizes[0])):
+        for i in range(start, start + sizes[block]):
+            for j in range(i, start + sizes[block]):
+                if i != j or block == 0:
+                    g[i][j] = g[j][i] = draw(entry)
+    return g
+
+
+class TestCongruentMinors:
+    """The fraction-free congruence against rational elimination over Z and
+    plain Gaussian congruence mod p."""
+
+    def test_pair_step(self):
+        # e_0 <- e_0 + e_1 turns the hyperbolic plane into [[2, 1], [1, 0]]
+        assert linalg.congruent_minors([[0, 1], [1, 0]]) == [2, -1]
+        assert linalg.congruent_minors([[0, 1], [1, 0]], 5) == [2, 4]
+
+    def test_degenerate(self):
+        assert linalg.congruent_minors([[0, 0], [0, 0]]) == []
+        assert linalg.congruent_minors([[3, 0], [0, 5]], 3) == [2]
+
+    @given(symmetric_forms())
+    @settings(max_examples=300, deadline=None)
+    def test_signature_over_z(self, g):
+        minors = linalg.congruent_minors(g)
+        assert linalg.inertia(g) == fraction_inertia(g)
+        assert len(minors) == frac_rank(g)
+        if len(minors) == len(g):
+            # the congruence is unimodular: D_n is det G
+            assert minors[-1] == linalg.det(g)
+
+    @given(symmetric_forms(), st.sampled_from([3, 5, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_rank_and_discriminant_mod_p(self, g, p):
+        minors = linalg.congruent_minors(g, p)
+        diag = gf_diagonal(g, p)
+        assert len(minors) == len(diag) == rank_mod(g, p)
+        assert all(0 < d < p for d in minors)
+        if diag:
+            assert _legendre(minors[-1], p) == _legendre(prod(diag), p)
 
 
 class TestHermite:
