@@ -112,6 +112,8 @@ def _pick_move(t: tri.Triangulation, kind: str, rng: random.Random | None):
 
 
 def cmd_verify(args) -> int:
+    if args.random < 0:
+        raise UsageError(f"--random takes a count of moves, not {args.random}")
     t = _oriented(_load_manifold(args))
     if args.mode == "form" and not t.is_closed():
         raise UsageError("form-mode verification needs a closed triangulation")

@@ -108,8 +108,8 @@ def solve_permitted(system: ConstraintSystem) -> PermittedSpace:
 
     Each y-column is a unit column in at most two rows, one per pentachoron
     on its tetrahedron, so the unit-pivot elimination clears it and
-    back-substitution lifts y; a Smith decomposition runs only on whatever
-    rows no +-1 pivot clears.
+    back-substitution lifts y, all kernel columns at once; a Smith
+    decomposition runs only on whatever rows no +-1 pivot clears.
     Over Z the basis is the kernel columns, saturated and deterministic;
     no report depends on which basis spans the lattice.  Over GF(p^n) it
     is their reduction mod p, as ints in [0, p): deterministic, but not

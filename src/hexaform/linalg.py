@@ -7,13 +7,15 @@ always yields the same decomposition, which downstream code relies on for
 reproducible Gram matrices.
 
 The rest of the package reads kernels and ranks off `sparse_kernel`, which
-eliminates by +-1 pivots and leaves only the rows they cannot clear to
-`smith_normal_form`; elementary divisors off `smith_normal_form`; and
-signatures and discriminants off `congruent_minors`, one fraction-free
-symmetric elimination over Z or mod an odd prime.  Its Z kernels are the
-saturated columns that `sparse_kernel` returns: every report is a
-congruence invariant, so none depends on which basis spans the lattice.
-A Smith form keeps only its column transform V.  `det` (Bareiss),
+eliminates by +-1 pivots, leaves only the rows they cannot clear to
+`smith_normal_form`, and lifts all kernel columns at once, one sparse row
+per variable, at the cost of the nonzeros the pivots touch; elementary
+divisors off `smith_normal_form`; and signatures and discriminants off
+`congruent_minors`, one fraction-free symmetric elimination over Z or mod
+an odd prime.  Its Z kernels are the saturated columns that
+`sparse_kernel` returns: every report is a congruence invariant, so none
+depends on which basis spans the lattice.  A Smith form keeps only its
+column transform V.  `det` (Bareiss),
 `unimodular_inverse` (Fraction Gauss-Jordan) and `hermite_columns` (the
 canonical basis of a lattice) have no caller in the package: they are
 independent routes that the tests use as oracles.
@@ -282,22 +284,18 @@ def hermite_columns(basis: list[list[int]]) -> list[list[int]]:
     return [row for row in rows[:r]]
 
 
-def sparse_kernel(rows: list[dict[int, int]], n: int,
-                  p: int | None = None) -> tuple[int, list[list[int]]]:
-    """Rank and kernel basis (as columns) of an integer matrix with n
-    columns, given as rows {column: nonzero entry}; over Z, or over GF(p)
-    for a prime p.
+def _eliminate(rows: list[dict[int, int]], n: int
+               ) -> tuple[list[tuple[int, dict[int, int]]], list[int], Matrix]:
+    """Greedy elimination by +-1 pivots (Dumas, Saunders and Villard 2001)
+    of rows {column: nonzero entry} over n columns.
 
-    Greedy elimination by +-1 pivots in front of a dense Smith normal form
-    (Dumas, Saunders and Villard 2001).  The pivot column is the one in the
-    fewest live rows, then the lowest index; the pivot row is the shortest
-    live row with a unit entry there, then the first.  Every pivot step is
-    unimodular, so the kernel is that of the residual rows on the columns
-    never pivoted on, lifted by back-substitution.  Only that residual goes
-    through `smith_normal_form`: its kernel is spanned by the columns of V
-    past the rank, mod p also by those whose diagonal entry p divides.
-    Over Z the columns are a saturated basis of the kernel lattice, the
-    same for the same rows; no canonical form is imposed on them.
+    The pivot column is the one in the fewest live rows, then the lowest
+    index; the pivot row is the shortest live row with a unit entry there,
+    then the first.  Returns the pivots in elimination order, as (c, expr)
+    with x_c = sum of v * x_j over expr, whose columns outlive c; the
+    columns never pivoted on; and the rows left uncleared, dense over those
+    columns.  Every pivot step is unimodular, so the kernel is that of the
+    residual rows, lifted through the pivots.
     """
     live = {i: dict(row) for i, row in enumerate(rows) if row}
     holders: dict[int, set[int]] = {}
@@ -306,7 +304,6 @@ def sparse_kernel(rows: list[dict[int, int]], n: int,
             holders.setdefault(j, set()).add(i)
     heap = [(len(s), j) for j, s in holders.items()]
     heapq.heapify(heap)
-    # (c, expr): x_c = sum of v * x_j over expr, whose columns outlive c
     pivots: list[tuple[int, dict[int, int]]] = []
     while heap:
         count, c = heapq.heappop(heap)
@@ -339,34 +336,60 @@ def sparse_kernel(rows: list[dict[int, int]], n: int,
         pivots.append((c, {j: -e * v for j, v in prow.items()}))
     pivoted = {c for c, _ in pivots}
     free = [j for j in range(n) if j not in pivoted]
-    rank = len(pivots)
-    if live:
-        pos = {j: k for k, j in enumerate(free)}
-        residual = []
-        for i in sorted(live):
-            dense = [0] * len(free)
-            for j, v in live[i].items():
-                dense[pos[j]] = v
-            residual.append(dense)
+    pos = {j: k for k, j in enumerate(free)}
+    residual = []
+    for i in sorted(live):
+        dense = [0] * len(free)
+        for j, v in live[i].items():
+            dense[pos[j]] = v
+        residual.append(dense)
+    return pivots, free, residual
+
+
+def sparse_kernel(rows: list[dict[int, int]], n: int,
+                  p: int | None = None) -> tuple[int, list[list[int]]]:
+    """Rank and kernel basis (as columns) of an integer matrix with n
+    columns, given as rows {column: nonzero entry}; over Z, or over GF(p)
+    for a prime p.
+
+    Unit-pivot elimination (`_eliminate`) in front of a dense Smith normal
+    form of only the rows it cannot clear: the residual's kernel is
+    spanned by the columns of its V past the rank, mod p also by those
+    whose diagonal entry p divides.  Back-substitution lifts all d kernel
+    columns at once, row by row: each variable is a sparse row
+    {kernel column: value}, a free one the row of its residual-kernel
+    entries ({k: 1} without a residual), and each pivot, popped in reverse
+    order, the sum of v * row(j) over its expression.  That costs the
+    nonzeros the pivots touch, not d times the expression sizes.
+    Over Z the columns are a saturated basis of the kernel lattice, the
+    same for the same rows; no canonical form is imposed on them.
+    """
+    pivots, free, residual = _eliminate(rows, n)
+    if residual:
         snf = smith_normal_form(residual)
-        diag = snf.diagonal
+        diag, v = snf.diagonal, snf.v
         if p is None:
             keep = range(snf.rank, len(free))
         else:
             keep = [k for k in range(len(free)) if k >= len(diag) or diag[k] % p == 0]
-        rank += len(free) - len(keep)
-        kernel = [[snf.v[a][k] for a in range(len(free))] for k in keep]
+        value = {j: {k: v[a][b] for k, b in enumerate(keep) if v[a][b]}
+                 for a, j in enumerate(free)}
+        d = len(keep)
     else:
-        kernel = identity(len(free))
-    cols = []
-    for w in kernel:
-        x = [0] * n
-        for j, v in zip(free, w):
-            x[j] = v
-        for c, expr in reversed(pivots):
-            x[c] = sum(v * x[j] for j, v in expr.items())
-        cols.append(x)
-    return rank, cols
+        value = {j: {k: 1} for k, j in enumerate(free)}
+        d = len(free)
+    while pivots:
+        c, expr = pivots.pop()
+        acc: dict[int, int] = {}
+        for j, e in expr.items():
+            for k, x in value[j].items():
+                acc[k] = acc.get(k, 0) + e * x
+        value[c] = {k: x for k, x in acc.items() if x}
+    cols = [[0] * n for _ in range(d)]
+    for j, row in value.items():
+        for k, x in row.items():
+            cols[k][j] = x
+    return n - d, cols
 
 
 def congruent_minors(a: Matrix, p: int | None = None) -> list[int]:

@@ -48,6 +48,30 @@ def dense_kernel(a, p=None):
     return linalg.hermite_columns(cols) if p is None else cols
 
 
+def per_column_sparse_kernel(rows, n, p=None):
+    """`linalg.sparse_kernel` lifted column by column: the same unit-pivot
+    elimination and residual Smith step, then each kernel column
+    back-substituted on its own through every pivot expression.  The
+    package's row-wise lift must return exactly these (rank, columns)."""
+    pivots, free, residual = linalg._eliminate(rows, n)
+    if residual:
+        snf = linalg.smith_normal_form(residual)
+        keep = [k for k in range(len(free))
+                if k >= snf.rank or (p is not None and snf.diagonal[k] % p == 0)]
+        kernel = [[snf.v[a][k] for a in range(len(free))] for k in keep]
+    else:
+        kernel = linalg.identity(len(free))
+    cols = []
+    for w in kernel:
+        x = [0] * n
+        for j, v in zip(free, w):
+            x[j] = v
+        for c, expr in reversed(pivots):
+            x[c] = sum(v * x[j] for j, v in expr.items())
+        cols.append(x)
+    return n - len(cols), cols
+
+
 def same_saturated_lattice(cols, expected):
     """Do the columns span the lattice of `expected`, a saturated basis, and
     are they a basis of it?  Equal Hermite forms give the lattice; a unit

@@ -143,6 +143,13 @@ class TestVerify:
         assert code == 1
         assert "verify" in err or "moves" in err
 
+    def test_negative_random_count_is_usage_error(self, capsys):
+        # ["random"] * -3 is empty: the request must not be dropped silently
+        code, out, err = run(capsys, "verify", "--manifold", "s4",
+                             "--moves", "1-5", "--random", "-3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--random" in err
+
 
 class TestFrobenius:
     def test_quadratic(self, capsys):

@@ -9,8 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from hexaform import linalg
 from hexaform.invariants import _legendre
-from oracles import (dense_kernel, fraction_inertia, gf_diagonal, mat_mul, mat_vec,
-                     rank_mod, same_saturated_lattice)
+from hexaform.hexagon import build_constraints
+from hexaform.intersect import _cocycle_rows
+from hexaform.manifolds import builtin_manifold
+from oracles import (cp2_walk, dense_kernel, fraction_inertia, gf_diagonal, mat_mul,
+                     mat_vec, per_column_sparse_kernel, product_manifold, rank_mod,
+                     same_saturated_lattice)
 
 
 def frac_rank(a):
@@ -35,6 +39,15 @@ def frac_rank(a):
 
 def sparse_rows(a):
     return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def check_row_wise_lift(rows, n, p=None):
+    """`sparse_kernel` lifts all kernel columns at once; the per-column lift
+    it replaced must give exactly the same rank and columns.  Returns the
+    kernel."""
+    rank, cols = linalg.sparse_kernel(rows, n, p)
+    assert (rank, cols) == per_column_sparse_kernel(rows, n, p)
+    return rank, cols
 
 
 small_matrix = st.integers(1, 4).flatmap(
@@ -157,7 +170,7 @@ class TestSparseKernel:
     @given(mixed_matrix())
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_route_over_z(self, a):
-        rank, cols = linalg.sparse_kernel(sparse_rows(a), len(a[0]))
+        rank, cols = check_row_wise_lift(sparse_rows(a), len(a[0]))
         assert rank == linalg.smith_normal_form(a).rank
         for col in cols:
             assert mat_vec(a, col) == [0] * len(a)
@@ -167,12 +180,54 @@ class TestSparseKernel:
     @settings(max_examples=200, deadline=None)
     def test_gf_kernel(self, a, p):
         n = len(a[0])
-        rank, cols = linalg.sparse_kernel(sparse_rows(a), n, p)
+        rank, cols = check_row_wise_lift(sparse_rows(a), n, p)
         assert rank == rank_mod(a, p) == n - len(dense_kernel(a, p))
         assert len(cols) == n - rank
         for col in cols:
             assert all(x % p == 0 for x in mat_vec(a, col))
         assert rank_mod(cols, p) == len(cols)
+
+
+# rows {column: entry} up to 40 x 40 at about 15% density, mostly units, so
+# that pivot expressions name columns pivoted on later and the lift chains
+@st.composite
+def sparse_matrix(draw):
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    entry = st.sampled_from([1, -1, 1, -1, 2, -2, 3])
+    row = st.dictionaries(st.integers(0, n - 1), entry, max_size=max(1, round(0.3 * n)))
+    return draw(st.lists(row, min_size=m, max_size=m)), n
+
+
+MANIFOLDS = {
+    "s4": lambda: builtin_manifold("s4"),
+    "cp2": lambda: builtin_manifold("cp2"),
+    "cp2-walk": cp2_walk,
+    "s1xs3": lambda: product_manifold("s1xs3"),
+    "s2xs2": lambda: product_manifold("s2xs2"),
+    "t2xs2": lambda: product_manifold("t2xs2"),
+}
+
+
+class TestRowWiseLift:
+    """Exact (rank, columns) against the per-column lift on sparse matrices
+    whose pivots chain and on the package's own constraint systems."""
+
+    @given(sparse_matrix(), st.sampled_from([None, 2, 3, 5]))
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_matrices(self, a, p):
+        check_row_wise_lift(*a, p)
+
+    @pytest.mark.parametrize("name", MANIFOLDS)
+    def test_constraint_systems(self, name):
+        system = build_constraints(MANIFOLDS[name]())
+        for p in (None, 2, 3):
+            check_row_wise_lift(list(system.sparse_rows), system.num_variables, p)
+
+    @pytest.mark.parametrize("name", MANIFOLDS)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_coboundaries(self, name, k):
+        cells, rows = _cocycle_rows(MANIFOLDS[name](), k)
+        check_row_wise_lift(rows, len(cells))
 
 
 class TestDeterminant:
