@@ -13,8 +13,9 @@ pentachora with orientation signs gives the action S.  On a basis,
 S(a, b) is the dot product of a's signed rear-face row with b's
 front-face row, so the Gram matrix is the product R^T F of the two face
 matrices.  `pairing` computes that product for any two faces of a
-pentachoron; the cup form of `intersect` pairs the front and rear
-triangles through it.
+pentachoron, each entry one `action_value` dot product over the support
+of the left row only, since the face rows are mostly zero; the cup form of
+`intersect` pairs the front and rear triangles through it.
 
 The constraint matrix is integral, so over GF(p^n) the permitted space is
 the GF(p) space tensored up: its basis entries are plain residues mod p,
@@ -24,6 +25,7 @@ and so are the Gram entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
 from operator import mul
 
 from . import linalg
@@ -132,18 +134,27 @@ def permitted_space(t: Triangulation, ring: GF | None = None,
 
 def pairing(t: Triangulation, cells, values, left: slice, right: slice) -> tuple:
     """The signed pentachoron pairing of value vectors over `cells`: entry
-    (a, b) is the sum over pentachora u of sign_u * a[u[left]] * b[u[right]].
-    Each entry is one `action_value` dot product of a's signed left-face
-    row with b's right-face row, so the matrix is L^T F of the face rows."""
+    (a, b) is the sum over pentachora u of sign_u * a[u[left]] * b[u[right]],
+    so the matrix is L^T F of the face rows.
+
+    The face rows are mostly zero, so each entry is one `action_value` dot
+    product over the support of a's left-face row only: a's signed values
+    there against b's right-face values at the same pentachora, read off
+    the right-face matrix held one column per pentachoron."""
     if t.signs is None:
         raise ValueError("triangulation must be oriented (signs missing)")
     idx = {cell: i for i, cell in enumerate(cells)}
     left_at = [idx[u[left]] for u in t.pentachora]
     right_at = [idx[u[right]] for u in t.pentachora]
-    lefts = [[v[i] if sign == 1 else -v[i] for sign, i in zip(t.signs, left_at)]
-             for v in values]
-    rights = [[v[j] for j in right_at] for v in values]
-    return tuple(tuple(action_value(a, b) for b in rights) for a in lefts)
+    cols = [[v[j] for v in values] for j in right_at]
+    no_rows = [()] * len(values)
+    matrix = []
+    for a in values:
+        face = list(map(mul, t.signs, map(a.__getitem__, left_at)))
+        signed = list(compress(face, face))
+        rights = zip(*compress(cols, face)) if signed else no_rows
+        matrix.append(tuple(map(action_value, repeat(signed), rights)))
+    return tuple(matrix)
 
 
 def action_value(left: list, right: list):

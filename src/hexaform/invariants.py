@@ -35,10 +35,19 @@ class CapExceeded(RuntimeError):
 
 
 def enumeration_cap(explicit: int | None = None) -> int:
+    """The cap on enumerated colorings: `explicit` if given, else
+    HEXAFORM_CAP, else DEFAULT_CAP.  A negative cap is a ValueError that
+    names the value, not a cap that refuses everything."""
     if explicit is not None:
-        return explicit
-    env = os.environ.get("HEXAFORM_CAP")
-    return int(env) if env else DEFAULT_CAP
+        cap, source = explicit, "enumeration cap"
+    else:
+        env = os.environ.get("HEXAFORM_CAP")
+        if not env:
+            return DEFAULT_CAP
+        cap, source = int(env), "HEXAFORM_CAP"
+    if cap < 0:
+        raise ValueError(f"{source} must be >= 0, got {cap}")
+    return cap
 
 
 def capped_space(t: Triangulation, p: int, n: int,
@@ -49,9 +58,9 @@ def capped_space(t: Triangulation, p: int, n: int,
     refusal: finding its modulus takes time exponential in n."""
     if n < 1:
         raise FieldError("extension degree must be >= 1")
+    limit = enumeration_cap(cap)
     space = permitted_space(t, make_field(p))
     total = (p ** n) ** space.dim
-    limit = enumeration_cap(cap)
     if total > limit:
         raise CapExceeded(total, limit)
     return space, total

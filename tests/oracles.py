@@ -308,7 +308,9 @@ def action_of(t, latin: Coloring, greek: Coloring):
     Gram that `hexagon._gram` takes on the two value vectors."""
     assert latin.tets == greek.tets
     pair = PermittedSpace(None, latin.tets, (latin.values, greek.values))
-    return _gram(t, pair)[0][1]
+    value = _gram(t, pair)[0][1]
+    # where Latin's rear face vanishes everywhere the entry is the int 0
+    return value if latin.ring is None else latin.ring.zero + value
 
 
 def cup_by_terms(t, space, a, b):
@@ -317,6 +319,19 @@ def cup_by_terms(t, space, a, b):
     idx = {s: i for i, s in enumerate(space.triangles)}
     return sum(sign * a[idx[u[:3]]] * b[idx[u[2:]]]
                for sign, u in zip(t.signs, t.pentachora))
+
+
+def dense_pairing(t, cells, values, left: slice, right: slice) -> tuple:
+    """`hexagon.pairing` as the dense product L^T F: every entry the dot
+    product of a's signed left-face row with b's right-face row over all P
+    pentachora, zeros included."""
+    idx = {cell: i for i, cell in enumerate(cells)}
+    left_at = [idx[u[left]] for u in t.pentachora]
+    right_at = [idx[u[right]] for u in t.pentachora]
+    lefts = [[v[i] if sign == 1 else -v[i] for sign, i in zip(t.signs, left_at)]
+             for v in values]
+    rights = [[v[j] for j in right_at] for v in values]
+    return tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in rights) for a in lefts)
 
 
 def gram_by_phi(t, space) -> list[list]:

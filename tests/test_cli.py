@@ -238,6 +238,24 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("invariant", "--manifold", "s4", "--mode", "prob", "--p", "2"),
+        ("verify", "--manifold", "s4", "--mode", "prob", "--p", "2", "--random", "1",
+         "--seed", "1"),
+        ("frobenius", "--p", "2", "--m", "0", "--check"),
+    ], ids=["invariant", "verify", "frobenius"])
+    def test_negative_cap_flag_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--cap", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "-1" in err and "cap exceeded" not in err
+
+    def test_negative_cap_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("HEXAFORM_CAP", "-7")
+        code, out, err = run(capsys, "invariant", "--manifold", "s4", "--mode", "prob",
+                             "--p", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "HEXAFORM_CAP" in err and "-7" in err
+
     def test_cp2_answers_only_under_an_explicit_cap(self, capsys):
         argv = ("invariant", "--manifold", "cp2", "--mode", "prob", "--p", "2")
         code, _, err = run(capsys, *argv)

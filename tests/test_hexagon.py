@@ -1,11 +1,13 @@
 """Constraint systems, permitted colorings, the cocycle and the action."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hexaform import hexagon, linalg
+from hexaform import hexagon, intersect, linalg
 from hexaform.gf import gf_nullspace, make_field
 from hexaform.hexagon import (R_MATRIX, build_constraints, gram_matrix, pairing,
                               permitted_space, verify_cocycle)
@@ -14,9 +16,9 @@ from hexaform.triangulation import (MOVE_KINDS, Triangulation, apply_move,
                                     boundary_delta5, faces, find_moves)
 from oracles import (Coloring, action_by_phi, action_of, coboundary_terms,
                      coboundary_terms_alt, colorings, combination, cp2_walk,
-                     dense_constraints, dense_kernel, forbid_smith, gram_by_phi, mat_mul,
-                     mat_vec, phi, phi_expanded, rank_mod, same_saturated_lattice,
-                     symmetry_defect, transpose)
+                     dense_constraints, dense_kernel, dense_pairing, forbid_smith,
+                     gram_by_phi, mat_mul, mat_vec, phi, phi_expanded, rank_mod,
+                     same_saturated_lattice, symmetry_defect, transpose)
 
 SINGLE = Triangulation("one", ((0, 1, 2, 3, 4),))
 
@@ -343,6 +345,87 @@ class TestGram:
         g = gram_matrix(builtin_manifold("cp2"))
         assert g.dim == 28
         assert len(calls) == g.dim ** 2
+
+
+# the two face pairs `pairing` serves: the action's rear against front
+# tetrahedra, the cup form's front against rear triangles
+FACE_PAIRS = {"tetrahedra": (slice(1, 5), slice(0, 4)),
+              "triangles": (slice(0, 3), slice(2, 5))}
+PAIRING_BASES = {"s4": lambda: builtin_manifold("s4"),
+                 "cp2": lambda: builtin_manifold("cp2"), "cp2-open": open_cp2}
+
+
+def counted_pairing(*args):
+    """`pairing` with its calls to `action_value` counted."""
+    calls = []
+    original = hexagon.action_value
+
+    def counted(left, right):
+        calls.append(None)
+        return original(left, right)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hexagon, "action_value", counted)
+        matrix = pairing(*args)
+    return matrix, len(calls)
+
+
+@st.composite
+def pairing_inputs(draw):
+    t = PAIRING_BASES[draw(st.sampled_from(sorted(PAIRING_BASES)))]()
+    left, right = FACE_PAIRS[draw(st.sampled_from(sorted(FACE_PAIRS)))]
+    if draw(st.booleans()):
+        # any signs: `pairing` reads only pentachora and signs, so the
+        # stand-in need not be a coherently oriented triangulation
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(t.pentachora),
+                              max_size=len(t.pentachora)))
+        t = SimpleNamespace(pentachora=t.pentachora, signs=tuple(signs))
+    cells = sorted({u[left] for u in t.pentachora} | {u[right] for u in t.pentachora})
+    n = len(cells)
+    entry = st.integers(-5, 5)
+    # an all-zero vector has an empty left-face support; a single nonzero
+    # entry on a left face gives a support of one or two pentachora
+    single = st.tuples(st.sampled_from([cells.index(u[left]) for u in t.pentachora]),
+                       entry.filter(bool))
+    vector = st.one_of(st.just([0] * n),
+                       single.map(lambda at: [at[1] if i == at[0] else 0 for i in range(n)]),
+                       st.lists(entry, min_size=n, max_size=n))
+    values = draw(st.lists(vector, max_size=6))
+    return t, cells, values, left, right
+
+
+class TestPairing:
+    @given(pairing_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_product(self, case):
+        matrix, calls = counted_pairing(*case)
+        assert matrix == dense_pairing(*case)
+        assert calls == len(case[2]) ** 2
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_smallest_dimensions(self, d):
+        t = builtin_manifold("s4")
+        cells = t.tetrahedra()
+        values = [[i % 7 - 3 for i in range(len(cells))] for _ in range(d)]
+        args = (t, cells, values, slice(1, 5), slice(0, 4))
+        matrix, calls = counted_pairing(*args)
+        assert matrix == dense_pairing(*args)
+        assert len(matrix) == d and calls == d * d
+
+    @pytest.mark.parametrize("make", GRAM_INPUTS, ids=GRAM_IDS)
+    def test_bases_match_dense_product(self, make):
+        # the permitted (x+y) values and the 2-cocycle basis; on the open
+        # input the action is asymmetric, so a rear/front swap cannot pass
+        t = make()
+        space = permitted_space(t)
+        nt = len(space.tets)
+        sums = [[v[i] + v[nt + i] for i in range(nt)] for v in space.basis]
+        args = (t, space.tets, sums, slice(1, 5), slice(0, 4))
+        g = pairing(*args)
+        assert g == dense_pairing(*args)
+        assert (g != tuple(zip(*g))) == (t.name == "cp2-open")
+        cocycles = intersect.solve_2cocycles(t)
+        args = (t, cocycles.triangles, cocycles.basis, slice(0, 3), slice(2, 5))
+        assert pairing(*args) == dense_pairing(*args)
 
 
 class TestSymmetryCoboundary:
