@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import triangulation as tri
-from .cocycles import reference_cubic, specialize, specialize_double, is_hexagon_cocycle
+from .cocycles import reference_cubic, specialize_double, is_hexagon_cocycle
 from .gf import FieldError, make_field
 from .hexagon import gram_matrix
 from .intersect import compare_forms, reduced_cup_invariants
@@ -182,15 +182,9 @@ def cmd_frobenius(args) -> int:
     else:
         if args.p is None:
             raise UsageError("--p is required unless --reference-cubic is given")
-        if args.m1 is not None or args.m2 is not None:
-            if args.m is not None or args.m1 is None or args.m2 is None:
-                raise UsageError("double mode needs exactly --m1 and --m2")
-            c = specialize_double(args.p, args.m1, args.m2)
-            mode = {"kind": "double", "m1": args.m1, "m2": args.m2}
-        else:
-            m = args.m if args.m is not None else 0
-            c = specialize(args.p, m)
-            mode = {"kind": "single", "m": m}
+        spec = _frobenius_spec(args)
+        c = specialize_double(spec.p, spec.m1, spec.m2)
+        mode = spec.mode_json()
     report = {
         "command": "frobenius",
         "p": c.p,
@@ -289,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse (exit 3) when the coloring space has more points than "
                         "this (default 10^7, or HEXAFORM_CAP)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_frobenius)
+    # the polynomial has GF(p) coefficients: its spec is over the prime field
+    p.set_defaults(func=cmd_frobenius, n=1)
 
     p = sub.add_parser("compare", help="hexagon form vs cup-product intersection form")
     _add_manifold_args(p)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, combinations
 
 Pentachoron = tuple[int, int, int, int, int]
@@ -60,6 +61,10 @@ def faces(u: Pentachoron) -> list[Tetrahedron]:
 
 @dataclass(frozen=True)
 class Triangulation:
+    """Pentachora and signs.  The incidence table -- `cofaces`, `counts`,
+    `index`, `six_sets` -- is built part by part on first use and cached;
+    the object is frozen, so the table cannot go stale."""
+
     name: str
     pentachora: tuple[Pentachoron, ...]
     signs: tuple[int, ...] | None = None
@@ -73,57 +78,70 @@ class Triangulation:
                 raise TriangulationError("signs length mismatch")
             if any(s not in (1, -1) for s in self.signs):
                 raise TriangulationError("signs must be +-1")
-        twice = next((u for u, c in Counter(self.pentachora).items() if c > 1), None)
+        # the index keeps the last position of a pentachoron listed twice
+        twice = next((u for i, u in enumerate(self.pentachora) if self.index[u] != i), None)
         if twice is not None:
             raise TriangulationError(f"pentachoron {twice} listed twice")
-        counts: dict[Tetrahedron, int] = {}
-        induced: dict[Tetrahedron, int] = {}
-        for k, u in enumerate(self.pentachora):
-            for pos, t in enumerate(faces(u)):
-                counts[t] = counts.get(t, 0) + 1
-                if self.signs is not None:
-                    induced[t] = induced.get(t, 0) + self.signs[k] * (-1) ** pos
-        bad = [t for t, c in counts.items() if c > 2]
-        if bad:
-            raise TriangulationError(f"tetrahedron {bad[0]} shared by more than 2 pentachora")
+        bad = next((t for t, c in self.cofaces.items() if len(c) > 2), None)
+        if bad is not None:
+            raise TriangulationError(f"tetrahedron {bad} shared by more than 2 pentachora")
         # orient's local rule: the two pentachora on a tetrahedron induce
         # opposite orientations sign * (-1)^pos on it
-        if any(v and counts[t] == 2 for t, v in induced.items()):
+        s = self.signs
+        if s is not None and any(len(c) == 2 and sum(s[ui] * (-1) ** pos for ui, pos in c)
+                                 for c in self.cofaces.values()):
             raise NonOrientableError(f"{self.name}: signs are not a coherent orientation")
 
-    def _tet_counts(self) -> dict[Tetrahedron, int]:
-        counts: dict[Tetrahedron, int] = {}
-        for u in self.pentachora:
-            for t in faces(u):
-                counts[t] = counts.get(t, 0) + 1
-        return counts
+    @cached_property
+    def cofaces(self) -> dict[Tetrahedron, list[tuple[int, int]]]:
+        """Each tetrahedron's (pentachoron index, face position) pairs."""
+        inc: dict[Tetrahedron, list[tuple[int, int]]] = {}
+        for ui, u in enumerate(self.pentachora):
+            for pos, tet in enumerate(faces(u)):
+                inc.setdefault(tet, []).append((ui, pos))
+        return inc
+
+    @cached_property
+    def counts(self) -> tuple[Counter, ...]:
+        """counts[d][s]: how many pentachora contain the d-simplex s, d = 0..3."""
+        return tuple(Counter(chain.from_iterable(combinations(u, d + 1) for u in self.pentachora))
+                     for d in range(4))
+
+    @cached_property
+    def index(self) -> dict[Pentachoron, int]:
+        """The position of each pentachoron in `pentachora`."""
+        return {u: i for i, u in enumerate(self.pentachora)}
+
+    @cached_property
+    def six_sets(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Each six-vertex set spanned by the two pentachora on an interior
+        tetrahedron, sorted, with the indices of its present facets."""
+        # each pentachoron adds the vertex its face position omits
+        sixes = sorted({tuple(sorted(tet + tuple(self.pentachora[ui][pos] for ui, pos in c)))
+                        for tet, c in self.cofaces.items() if len(c) == 2})
+        return {six: tuple(sorted(self.index[f] for f in combinations(six, 5) if f in self.index))
+                for six in sixes}
 
     @property
     def vertex_ids(self) -> frozenset[int]:
-        return frozenset(v for u in self.pentachora for v in u)
+        return frozenset(v for (v,) in self.counts[0])
 
     def tetrahedra(self) -> list[Tetrahedron]:
-        return sorted(self._tet_counts())
+        return sorted(self.cofaces)
 
     def is_closed(self) -> bool:
-        return all(c == 2 for c in self._tet_counts().values())
+        return all(len(c) == 2 for c in self.cofaces.values())
 
     def simplices(self, dim: int) -> list[tuple[int, ...]]:
-        return sorted({c for u in self.pentachora for c in combinations(u, dim + 1)})
+        if not 0 <= dim <= 4:
+            raise ValueError(f"no {dim}-simplices in a 4-dimensional complex")
+        return sorted(self.index if dim == 4 else self.counts[dim])
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(self.simplices(d)) for d in range(5))
+        return sum((-1) ** d * len(c) for d, c in enumerate(self.counts)) + len(self.index)
 
     def without_signs(self) -> "Triangulation":
         return replace(self, signs=None)
-
-
-def _face_incidence(t: Triangulation) -> dict[Tetrahedron, list[tuple[int, int]]]:
-    inc: dict[Tetrahedron, list[tuple[int, int]]] = {}
-    for ui, u in enumerate(t.pentachora):
-        for pos, tet in enumerate(faces(u)):
-            inc.setdefault(tet, []).append((ui, pos))
-    return inc
 
 
 def orient(t: Triangulation, anchor: int = 0, anchor_sign: int = 1) -> Triangulation:
@@ -137,14 +155,13 @@ def orient(t: Triangulation, anchor: int = 0, anchor_sign: int = 1) -> Triangula
     n = len(t.pentachora)
     if n == 0:
         raise TriangulationError("empty triangulation")
-    inc = _face_incidence(t)
     signs = [0] * n
     signs[anchor] = anchor_sign
     stack = [anchor]
     while stack:
         ui = stack.pop()
         for pos, tet in enumerate(faces(t.pentachora[ui])):
-            pair = inc[tet]
+            pair = t.cofaces[tet]
             if len(pair) != 2:
                 continue
             (a, pa), (b, pb) = pair
@@ -186,17 +203,9 @@ class MoveDescriptor:
             raise MoveError("six_vertices must be 6 distinct ids")
 
 
-def _incidence(pentachora) -> tuple[Counter, dict]:
-    """The number of pentachora containing each simplex of dimension 0-3,
-    and the index of each pentachoron (none is listed twice)."""
-    counts = Counter(chain.from_iterable(combinations(u, r) for u in pentachora
-                                         for r in range(1, 5)))
-    return counts, {u: i for i, u in enumerate(pentachora)}
-
-
-def _move_parts(t: Triangulation, d: MoveDescriptor, counts: Counter, index: dict):
-    """Validate a move descriptor against t, given `_incidence(t.pentachora)`;
-    return (before, after) facets."""
+def _move_parts(t: Triangulation, d: MoveDescriptor):
+    """Validate a move descriptor against t's incidence table; return
+    (before, after) facets."""
     k = MOVE_KINDS[d.kind]
     n = len(t.pentachora)
     if len(set(d.target)) != k or any(i < 0 or i >= n for i in d.target):
@@ -214,14 +223,14 @@ def _move_parts(t: Triangulation, d: MoveDescriptor, counts: Counter, index: dic
         raise ConfigurationNotFound("target pentachora are not distinct facets")
     if d.kind == "1-5":
         fresh = omitted[0]
-        if counts[(fresh,)]:
+        if t.counts[0][(fresh,)]:
             raise StaleVertex(f"new vertex {fresh} already present")
     o_set = set(omitted)
 
     def outside(sigma: set) -> int:
         # pentachora containing sigma (a subset of six) that the move leaves
         # in place: a target contains sigma unless it omits a vertex of sigma
-        return counts.get(tuple(sorted(sigma)), 0) - (k - len(sigma & o_set))
+        return t.counts[len(sigma) - 1][tuple(sorted(sigma))] - (k - len(sigma & o_set))
 
     if d.kind == "5-1":
         (gone,) = six_set - o_set
@@ -243,7 +252,7 @@ def _move_parts(t: Triangulation, d: MoveDescriptor, counts: Counter, index: dic
                         f"interior simplex {tuple(sorted(sigma))} meets pentachoron {u}")
     after = [tuple(v for v in six if v != o) for o in sorted(six_set - o_set)]
     for u in after:
-        if u in index:
+        if u in t.index:
             raise LinkConditionViolation(f"replacement pentachoron {u} already present")
     return before, after
 
@@ -252,7 +261,7 @@ def apply_move(t: Triangulation, d: MoveDescriptor) -> Triangulation:
     """Replace the k target pentachora by the complementary 6-k facets of
     the same del-Delta^5.  Orientation signs are re-propagated from a
     surviving pentachoron when the input carries signs."""
-    _, after = _move_parts(t, d, *_incidence(t.pentachora))
+    _, after = _move_parts(t, d)
     target = set(d.target)
     kept = [(i, u) for i, u in enumerate(t.pentachora) if i not in target]
     new_pents = sorted([u for _, u in kept] + after)
@@ -260,7 +269,7 @@ def apply_move(t: Triangulation, d: MoveDescriptor) -> Triangulation:
     if t.signs is not None:
         if kept:
             anchor_old_idx, anchor_pent = kept[0]
-            out = orient(out, anchor=new_pents.index(anchor_pent),
+            out = orient(out, anchor=out.index[anchor_pent],
                          anchor_sign=t.signs[anchor_old_idx])
         else:
             out = orient(out)
@@ -268,35 +277,27 @@ def apply_move(t: Triangulation, d: MoveDescriptor) -> Triangulation:
 
 
 def find_moves(t: Triangulation, kind: str) -> list[MoveDescriptor]:
-    """All valid move descriptors of the given kind, by exhaustive search."""
+    """All valid move descriptors of the given kind.
+
+    Two facts make the candidates complete.  A 1-5 move on the fresh vertex
+    max(vertex_ids) + 1 is valid on every pentachoron: every simplex it
+    checks, and every replacement facet, contains that absent vertex.  A
+    move of kind k >= 2 takes all present facets of its six-vertex set as
+    targets, since any other would be a replacement that already exists;
+    two of them share a tetrahedron, so the set is one of `t.six_sets`.
+    """
     if kind not in MOVE_KINDS:
         raise MoveError(f"unknown move kind {kind!r}")
     k = MOVE_KINDS[kind]
-    counts, index = _incidence(t.pentachora)
+    if k == 1:
+        fresh = max(t.vertex_ids, default=-1) + 1
+        return [MoveDescriptor(kind, (i,), u + (fresh,)) for i, u in enumerate(t.pentachora)]
     out = []
-    if kind == "1-5":
-        fresh = (max(t.vertex_ids) + 1) if t.pentachora else 0
-        for i, u in enumerate(t.pentachora):
-            d = MoveDescriptor(kind, (i,), tuple(sorted(u + (fresh,))))
+    for six, present in t.six_sets.items():
+        if len(present) == k:
+            d = MoveDescriptor(kind, present, six)
             try:
-                _move_parts(t, d, counts, index)
-            except MoveError:
-                continue
-            out.append(d)
-        return out
-    # two facets of one del-Delta^5 share a tetrahedron, so a six-set holding
-    # k >= 2 targets is the union of the two pentachora on an interior one
-    pents = t.pentachora
-    pairs = [pair for pair in _face_incidence(t).values() if len(pair) == 2]
-    six_sets = sorted({tuple(sorted(set(pents[a]) | set(pents[b]))) for (a, _), (b, _) in pairs})
-    for six in six_sets:
-        present = sorted(index[f] for f in combinations(six, 5) if f in index)
-        if len(present) < k:
-            continue
-        for combo in combinations(present, k):
-            d = MoveDescriptor(kind, combo, six)
-            try:
-                _move_parts(t, d, counts, index)
+                _move_parts(t, d)
             except MoveError:
                 continue
             out.append(d)
@@ -351,14 +352,9 @@ def isomorphic(a: Triangulation, b: Triangulation) -> bool:
     va, vb = sorted(a.vertex_ids), sorted(b.vertex_ids)
     if len(va) != len(vb):
         return False
-    set_a = {tuple(u) for u in a.pentachora}
-    set_b = {tuple(u) for u in b.pentachora}
-
-    def degree_profile(t, v):
-        return sum(1 for u in t.pentachora if v in u)
-
-    prof_a = {v: degree_profile(a, v) for v in va}
-    prof_b = {v: degree_profile(b, v) for v in vb}
+    set_a, set_b = a.index.keys(), b.index.keys()
+    prof_a = {v: a.counts[0][(v,)] for v in va}
+    prof_b = {v: b.counts[0][(v,)] for v in vb}
     # order vertices of a by constraint (appearing in many pentachora first)
     order = sorted(va, key=lambda v: -prof_a[v])
 
@@ -453,4 +449,7 @@ def load(path: str) -> Triangulation:
             raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
         except RecursionError as exc:
             raise MalformedFile(f"{path}: JSON nested too deeply") from exc
+        except ValueError as exc:
+            # e.g. an integer past the interpreter's digit limit
+            raise MalformedFile(f"{path}: {exc}") from exc
     return from_dict(doc, source=path)

@@ -377,6 +377,14 @@ def cp2_walk(seed=10, n=10):
     return t
 
 
+def open_cp2():
+    """cp2 less its first pentachoron: a complex with boundary.  Without a
+    pentachoron the action is not symmetric, so rear and front faces cannot
+    be told apart by symmetry alone."""
+    t = builtin_manifold("cp2")
+    return Triangulation("cp2-open", t.pentachora[1:], t.signs[1:])
+
+
 # --- product manifolds -----------------------------------------------------
 
 S1 = ((0, 1), (0, 2), (1, 2))

@@ -287,8 +287,10 @@ class TestExitCodes:
         b'{"name":"m","vertices":5,"pentachora":[[0,1,2,3,4],[0,1,2,3,4]]}',
         S4_DOC.replace(b"[0,1,2,3,4]", b"[false,true,2,3,4]"),
         S4_DOC.replace(b'"signs":[1,', b'"signs":[true,'),
+        b'{"name":"m","vertices":' + b'9' * 5001 + b',"pentachora":[[0,1,2,3,4]]}',
     ], ids=["pentachora-int", "vertices-str", "signs-int", "not-utf8", "deep-nesting",
-            "pentachora-empty", "duplicate-pentachoron", "vertex-bool", "sign-bool"])
+            "pentachora-empty", "duplicate-pentachoron", "vertex-bool", "sign-bool",
+            "vertices-5001-digits"])
     def test_malformed_documents(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_bytes(doc)

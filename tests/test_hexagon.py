@@ -17,7 +17,7 @@ from hexaform.triangulation import (MOVE_KINDS, Triangulation, apply_move,
 from oracles import (Coloring, action_by_phi, action_of, coboundary_terms,
                      coboundary_terms_alt, colorings, combination, cp2_walk,
                      dense_constraints, dense_kernel, dense_pairing, forbid_smith,
-                     gram_by_phi, mat_mul, mat_vec, phi, phi_expanded, rank_mod,
+                     gram_by_phi, mat_mul, mat_vec, open_cp2, phi, phi_expanded, rank_mod,
                      same_saturated_lattice, symmetry_defect, transpose)
 
 SINGLE = Triangulation("one", ((0, 1, 2, 3, 4),))
@@ -43,13 +43,6 @@ def s4_walk(seed=5, n=5):
         pool = [d for kind in MOVE_KINDS for d in find_moves(t, kind)]
         t = apply_move(t, pool[rng.randrange(len(pool))])
     return t
-
-
-def open_cp2():
-    # without a pentachoron the action is not symmetric, so rear and front
-    # faces cannot be told apart by symmetry alone
-    t = builtin_manifold("cp2")
-    return Triangulation("cp2-open", t.pentachora[1:], t.signs[1:])
 
 
 # the Gram against its entry-by-entry oracle; the open input is asymmetric

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -12,7 +13,8 @@ from hexaform.manifolds import builtin_manifold
 from hexaform.triangulation import (MoveDescriptor, Triangulation, apply_move,
                                     boundary_delta5, faces, find_moves,
                                     isomorphic, load, orient, relabel, save)
-from oracles import cp2_walk, scan_find_moves, scan_move_parts
+from oracles import (cp2_walk, open_cp2, product_manifold, scan_find_moves,
+                     scan_move_parts)
 
 SINGLE = Triangulation("one", ((0, 1, 2, 3, 4),))
 
@@ -101,7 +103,7 @@ class TestBoundaryDelta5:
     def test_closed(self):
         t = boundary_delta5()
         assert t.is_closed()
-        assert all(c == 2 for c in t._tet_counts().values())
+        assert all(c == 2 for c in t.counts[3].values())
 
     def test_euler_characteristic(self):
         assert boundary_delta5().euler_characteristic() == 2
@@ -266,9 +268,22 @@ def _reversed(t: Triangulation) -> Triangulation:
     return Triangulation(t.name, t.pentachora[::-1], t.signs[::-1])
 
 
+def _cp2_scripted() -> Triangulation:
+    # on cp2 every 2-4 after one 1-5 passes through the new vertex, so a
+    # second 1-5 hosts the 2-4: a 4-2 undoes it, a 5-1 the first 1-5
+    t = builtin_manifold("cp2")
+    t = apply_move(t, find_moves(t, "1-5")[0])
+    first = max(t.vertex_ids)
+    for kind in ("1-5", "2-4"):
+        t = apply_move(t, next(d for d in find_moves(t, kind) if first not in d.six_vertices))
+    return t
+
+
 MOVE_INPUTS = [boundary_delta5, lambda: builtin_manifold("cp2"), cp2_walk,
-               lambda: cp2_walk(seed=3, n=14), lambda: _reversed(cp2_walk())]
-MOVE_IDS = ["s4", "cp2", "cp2-walk10", "cp2-walk3", "cp2-walk10-reversed"]
+               lambda: cp2_walk(seed=3, n=14), lambda: _reversed(cp2_walk()), open_cp2,
+               lambda: product_manifold("s2xs2"), _cp2_scripted]
+MOVE_IDS = ["s4", "cp2", "cp2-walk10", "cp2-walk3", "cp2-walk10-reversed", "cp2-open",
+            "s2xs2", "cp2-scripted"]
 
 
 class TestMoveSearchAgainstScan:
@@ -284,14 +299,19 @@ class TestMoveSearchAgainstScan:
     @pytest.mark.parametrize("make", MOVE_INPUTS, ids=MOVE_IDS)
     def test_every_descriptor_has_the_same_outcome(self, make):
         t = make()
-        table = tri._incidence(t.pentachora)
         seen = set()
         for d in _candidates(t):
-            new = _outcome(lambda t, d: tri._move_parts(t, d, *table), t, d)
+            new = _outcome(tri._move_parts, t, d)
             assert new == _outcome(scan_move_parts, t, d), d
             seen.add(new[0])
         assert {"ok", tri.StaleVertex, tri.LinkConditionViolation,
                 tri.ConfigurationNotFound} <= seen
+
+    def test_inputs_offer_the_rare_kinds_or_none(self):
+        t = _cp2_scripted()
+        assert find_moves(t, "4-2") and find_moves(t, "5-1")
+        t = product_manifold("s2xs2")
+        assert not any(find_moves(t, kind) for kind in ("3-3", "4-2", "5-1"))
 
     def test_5_1_vertex_used_elsewhere(self):
         # the five facets of del-Delta^5 around vertex 5, and one more
@@ -301,8 +321,44 @@ class TestMoveSearchAgainstScan:
         d = MoveDescriptor("5-1", (0, 1, 2, 3, 4), tuple(range(6)))
         expected = (tri.LinkConditionViolation, "vertex 5 still used outside the move support")
         assert _outcome(scan_move_parts, t, d) == expected
-        assert _outcome(lambda t, d: tri._move_parts(t, d, *tri._incidence(t.pentachora)),
-                        t, d) == expected
+        assert _outcome(tri._move_parts, t, d) == expected
+
+
+def _scanned_table(t: Triangulation):
+    """The incidence table's four parts, each by its own scan."""
+    pents = t.pentachora
+    cofaces = {f: [(i, faces(u).index(f)) for i, u in enumerate(pents) if f in faces(u)]
+               for f in {f for u in pents for f in faces(u)}}
+    counts = tuple(Counter(s for u in pents for s in combinations(u, d + 1)) for d in range(4))
+    index = {u: pents.index(u) for u in pents}
+    sixes = sorted({tuple(sorted(set(u) | set(w)))
+                    for u, w in combinations(pents, 2) if len(set(u) & set(w)) == 4})
+    six_sets = [(six, tuple(i for i, u in enumerate(pents) if set(u) <= set(six)))
+                for six in sixes]
+    return cofaces, counts, index, six_sets
+
+
+class TestIncidenceTable:
+    def test_never_stale_along_a_chain(self):
+        # each step builds a new object from one whose table is cached
+        rng = random.Random(4)
+        t = builtin_manifold("cp2")
+        for step in range(16):
+            assert (t.cofaces, t.counts, t.index, list(t.six_sets.items())) == _scanned_table(t)
+            assert t.six_sets is t.six_sets
+            if step % 4 == 0:
+                before = {kind: find_moves(t, kind) for kind in tri.MOVE_KINDS}
+                pool = [d for moves in before.values() for d in moves]
+                moved = apply_move(t, pool[rng.randrange(len(pool))])
+                assert {kind: find_moves(t, kind) for kind in tri.MOVE_KINDS} == before
+                t = moved
+            elif step % 4 == 1:
+                verts = sorted(t.vertex_ids)
+                t = relabel(t, dict(zip(verts, rng.sample(range(2 * len(verts)), len(verts)))))
+            elif step % 4 == 2:
+                t = t.without_signs()
+            else:
+                t = orient(t)
 
 
 class TestRelabelIsomorphic:
@@ -383,6 +439,12 @@ class TestBuiltins:
         assert t.signs is not None
         # f-vector of the 9-vertex complex projective plane
         assert [len(t.simplices(d)) for d in range(5)] == [9, 36, 84, 90, 36]
+
+    def test_simplices_out_of_range(self):
+        # counts[-1] would silently return the tetrahedra
+        for dim in (-1, 5):
+            with pytest.raises(ValueError):
+                builtin_manifold("s4").simplices(dim)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
