@@ -16,7 +16,7 @@ import sys
 
 from . import triangulation as tri
 from .cocycles import reference_cubic, specialize_double, is_hexagon_cocycle
-from .gf import FieldError, make_field
+from .gf import FieldError, is_prime, make_field
 from .hexagon import gram_matrix
 from .intersect import compare_forms, reduced_cup_invariants
 from .invariants import (CapExceeded, FrobeniusSpec, form_invariants,
@@ -173,6 +173,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _check_printable(spec: FrobeniusSpec) -> None:
+    """Refuse exponents whose polynomial's degree p^m1 + p^m2 has more digits
+    than the interpreter prints (0: no limit), ruling out a huge p^m by
+    p^m >= 2^(m * (bit_length(p) - 1)) before computing it; a composite p
+    is left to `specialize_double` to name."""
+    digits = sys.get_int_max_str_digits()
+    if not digits or not is_prime(spec.p):
+        return
+    limit, p = 10 ** digits, spec.p
+    if (max(spec.m1, spec.m2) * (p.bit_length() - 1) >= limit.bit_length()
+            or p ** spec.m1 + p ** spec.m2 >= limit):
+        flags = "--m" if spec.mode == "single" else "--m1/--m2"
+        raise UsageError(f"{flags} too large: the polynomial's degree would have "
+                         f"more than {digits} digits")
+
+
 def cmd_frobenius(args) -> int:
     if args.reference_cubic:
         if args.m is not None or args.m1 is not None or args.m2 is not None:
@@ -183,6 +199,7 @@ def cmd_frobenius(args) -> int:
         if args.p is None:
             raise UsageError("--p is required unless --reference-cubic is given")
         spec = _frobenius_spec(args)
+        _check_printable(spec)
         c = specialize_double(spec.p, spec.m1, spec.m2)
         mode = spec.mode_json()
     report = {

@@ -18,14 +18,36 @@ class FieldError(ValueError):
     pass
 
 
+# Miller-Rabin to the first 13 prime bases is exact below the smallest
+# strong pseudoprime to all of them (Sorenson and Webster 2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic strong Miller-Rabin: base a passes only when a^d = 1 or
+    a^(2^r d) = -1 for some r < s; a 1 squared from anything but -1 is a
+    nontrivial square root of 1, proof that p is composite.  FieldError from
+    PRIME_BOUND on, where these bases no longer decide."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= PRIME_BOUND:
+        raise FieldError(f"primality is decided only below {PRIME_BOUND}")
+    if any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

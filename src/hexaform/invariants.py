@@ -183,17 +183,10 @@ class ValueDistribution:
         return {k: Fraction(c, self.total) for k, c in self.counts}
 
     def value_string(self, key: int) -> str:
-        f = self.spec.field()
-        if self.model == "field":
-            return ",".join(str(c) for c in f.decode(key))
+        # base-p digits of the key: n of them (field), or n rows of n (tensor)
         n = self.spec.n
-        digits = []
-        rest = key
-        for _ in range(n * n):
-            digits.append(rest % self.spec.p)
-            rest //= self.spec.p
-        rows = [digits[i * n:(i + 1) * n] for i in range(n)]
-        return ";".join(",".join(str(x) for x in row) for row in rows)
+        digits = _decode(key, self.spec.p, n if self.model == "field" else n * n)
+        return ";".join(",".join(map(str, digits[i:i + n])) for i in range(0, len(digits), n))
 
     def to_json(self) -> dict:
         return {

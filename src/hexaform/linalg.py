@@ -10,7 +10,8 @@ The rest of the package reads kernels and ranks off `sparse_kernel`, which
 eliminates by +-1 pivots, leaves only the rows they cannot clear to
 `smith_normal_form`, and lifts all kernel columns at once, one sparse row
 per variable, at the cost of the nonzeros the pivots touch; elementary
-divisors off `smith_normal_form`; and signatures and discriminants off
+divisors off `smith_normal_form`, whose diagonal is a divisibility chain
+by construction, with no repair pass; and signatures and discriminants off
 `congruent_minors`, one fraction-free symmetric elimination over Z or mod
 an odd prime.  Its Z kernels are the saturated columns that
 `sparse_kernel` returns: every report is a congruence invariant, so none
@@ -26,7 +27,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 Matrix = list[list[int]]
 
@@ -151,51 +151,12 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
         if culprit is not None:
             _add_row(d, t, culprit, 1)
             continue
+        # p > 0 divides the whole block below and right of it, and later
+        # steps only combine entries of that block, so every later pivot is a
+        # multiple of p: the diagonal is already a positive divisibility chain
         t += 1
 
-    # enforce the divisibility chain on the diagonal
-    k = min(m, n)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a_i, a_j = d[i][i], d[i + 1][i + 1]
-            if a_j and a_i and a_j % a_i:
-                g = gcd(a_i, a_j)
-                x, y = _ext_gcd(a_i, a_j)
-                # col i += col i+1, then unimodular row mix of rows i, i+1
-                _add_col(d, i, i + 1, 1)
-                _add_col(v, i, i + 1, 1)
-                _row_mix(d, i, i + 1, x, y, -(a_j // g), a_i // g)
-                # now D[i][i] = g, D[i+1][i] = 0, D[i][i+1] = y*a_j
-                q = d[i][i + 1] // g
-                _add_col(d, i + 1, i, -q)
-                _add_col(v, i + 1, i, -q)
-                changed = True
-    for i in range(k):
-        if d[i][i] < 0:
-            _scale_row(d, i, -1)
     return SmithDecomposition(d, v)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int]:
-    # x, y with x*a + y*b == gcd(a, b)
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_s, old_t
-
-
-def _row_mix(d: Matrix, i: int, j: int, a: int, b: int, c: int, e: int) -> None:
-    # rows (i, j) <- (a*row_i + b*row_j, c*row_i + e*row_j); a*e - b*c must be +-1
-    ri, rj = d[i], d[j]
-    d[i] = [a * x + b * y for x, y in zip(ri, rj)]
-    d[j] = [c * x + e * y for x, y in zip(ri, rj)]
 
 
 def det(a: Matrix) -> int:

@@ -115,12 +115,15 @@ class Triangulation:
     @cached_property
     def six_sets(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Each six-vertex set spanned by the two pentachora on an interior
-        tetrahedron, sorted, with the indices of its present facets."""
-        # each pentachoron adds the vertex its face position omits
-        sixes = sorted({tuple(sorted(tet + tuple(self.pentachora[ui][pos] for ui, pos in c)))
-                        for tet, c in self.cofaces.items() if len(c) == 2})
-        return {six: tuple(sorted(self.index[f] for f in combinations(six, 5) if f in self.index))
-                for six in sixes}
+        tetrahedron, sorted, with the indices of its present facets: any
+        two of those share such a tetrahedron, so its pairs name them all."""
+        sets: dict[tuple[int, ...], set[int]] = {}
+        for tet, c in self.cofaces.items():
+            if len(c) == 2:
+                # each pentachoron adds the vertex its face position omits
+                six = tuple(sorted(tet + tuple(self.pentachora[ui][pos] for ui, pos in c)))
+                sets.setdefault(six, set()).update(ui for ui, _ in c)
+        return {six: tuple(sorted(sets[six])) for six in sorted(sets)}
 
     @property
     def vertex_ids(self) -> frozenset[int]:
@@ -203,9 +206,36 @@ class MoveDescriptor:
             raise MoveError("six_vertices must be 6 distinct ids")
 
 
+def _obstruction(t: Triangulation, six: tuple[int, ...],
+                 targets: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The simplex that blocks replacing the facets `targets` of the sorted
+    six-vertex set (see `_move_parts`), or None: the core they share if they
+    are not its whole star, else the rest if it already spans a simplex."""
+    k = len(targets)
+    shared = set(six).intersection(*(t.pentachora[i] for i in targets))
+    core = tuple(v for v in six if v in shared)
+    omitted = tuple(v for v in six if v not in shared)
+    if k >= 2 and t.counts[5 - k][core] != k:
+        return core
+    if omitted in t.index if k == 5 else t.counts[k - 1][omitted]:
+        return omitted
+    return None
+
+
 def _move_parts(t: Triangulation, d: MoveDescriptor):
     """Validate a move descriptor against t's incidence table; return
-    (before, after) facets."""
+    (before, after) facets.
+
+    Each of the k targets omits one vertex of the omitted set O and contains
+    the core C, the rest of the six vertices.  By the bistellar criterion the
+    move is valid exactly when the targets are the whole star of C and O
+    spans no simplex yet.  That is complete: a simplex interior to the
+    targets' union contains C, so a pentachoron on it contains C; one
+    interior to the replacements' union contains O, as does every
+    replacement facet.  Both checks are one lookup.  For k = 1 the core is
+    the target itself; for k = 5, O is the one replacement facet, found in
+    the index.  The pentachoron an error names is searched for only then.
+    """
     k = MOVE_KINDS[d.kind]
     n = len(t.pentachora)
     if len(set(d.target)) != k or any(i < 0 or i >= n for i in d.target):
@@ -213,48 +243,24 @@ def _move_parts(t: Triangulation, d: MoveDescriptor):
     six = tuple(sorted(d.six_vertices))
     six_set = set(six)
     before = [t.pentachora[i] for i in d.target]
-    omitted = []
     for u in before:
         if not set(u) <= six_set:
             raise ConfigurationNotFound(f"pentachoron {u} not supported on {six}")
-        (o,) = six_set - set(u)
-        omitted.append(o)
-    if len(set(omitted)) != k:
+    omitted = {o for u in before for o in six_set - set(u)}
+    if len(omitted) != k:
         raise ConfigurationNotFound("target pentachora are not distinct facets")
-    if d.kind == "1-5":
-        fresh = omitted[0]
-        if t.counts[0][(fresh,)]:
-            raise StaleVertex(f"new vertex {fresh} already present")
-    o_set = set(omitted)
-
-    def outside(sigma: set) -> int:
-        # pentachora containing sigma (a subset of six) that the move leaves
-        # in place: a target contains sigma unless it omits a vertex of sigma
-        return t.counts[len(sigma) - 1][tuple(sorted(sigma))] - (k - len(sigma & o_set))
-
-    if d.kind == "5-1":
-        (gone,) = six_set - o_set
-        if outside({gone}):
-            raise LinkConditionViolation(f"vertex {gone} still used outside the move support")
-    # simplices interior to the union of the before facets must not meet the
-    # rest of the triangulation, and simplices that become interior to the
-    # replacement union must not pre-exist there either
-    for core, extras in ((six_set - o_set, o_set), (o_set, six_set - o_set)):
-        for extra in range(0, 5 - len(core)):
-            for s in combinations(sorted(extras), extra):
-                sigma = core | set(s)
-                if not sigma or len(sigma) > 4 or set(s) == extras:
-                    continue
-                if outside(sigma):
-                    u = next(u for i, u in enumerate(t.pentachora)
-                             if i not in d.target and sigma <= set(u))
-                    raise LinkConditionViolation(
-                        f"interior simplex {tuple(sorted(sigma))} meets pentachoron {u}")
-    after = [tuple(v for v in six if v != o) for o in sorted(six_set - o_set)]
-    for u in after:
-        if u in t.index:
-            raise LinkConditionViolation(f"replacement pentachoron {u} already present")
-    return before, after
+    sigma = _obstruction(t, six, d.target)
+    if sigma is None:
+        return before, [tuple(v for v in six if v != c) for c in six if c not in omitted]
+    if k == 1:
+        raise StaleVertex(f"new vertex {sigma[0]} already present")
+    if k == 5 and len(sigma) == 1:
+        raise LinkConditionViolation(f"vertex {sigma[0]} still used outside the move support")
+    if k == 5:
+        raise LinkConditionViolation(f"replacement pentachoron {sigma} already present")
+    u = next(u for i, u in enumerate(t.pentachora)
+             if i not in d.target and set(sigma) <= set(u))
+    raise LinkConditionViolation(f"interior simplex {sigma} meets pentachoron {u}")
 
 
 def apply_move(t: Triangulation, d: MoveDescriptor) -> Triangulation:
@@ -279,12 +285,14 @@ def apply_move(t: Triangulation, d: MoveDescriptor) -> Triangulation:
 def find_moves(t: Triangulation, kind: str) -> list[MoveDescriptor]:
     """All valid move descriptors of the given kind.
 
-    Two facts make the candidates complete.  A 1-5 move on the fresh vertex
-    max(vertex_ids) + 1 is valid on every pentachoron: every simplex it
-    checks, and every replacement facet, contains that absent vertex.  A
-    move of kind k >= 2 takes all present facets of its six-vertex set as
-    targets, since any other would be a replacement that already exists;
-    two of them share a tetrahedron, so the set is one of `t.six_sets`.
+    A 1-5 move on the fresh vertex max(vertex_ids) + 1 is valid on every
+    pentachoron: its omitted vertex spans nothing yet.  A move of kind
+    k >= 2 takes all present facets of its six-vertex set as targets, since
+    any other would be a replacement that already exists; two of them share
+    a tetrahedron, so the set is one of `t.six_sets`.  Its core is the
+    intersection of those facets, and `_obstruction` decides it with two
+    lookups: the core's star is exactly the targets, and the omitted
+    vertices span no simplex.
     """
     if kind not in MOVE_KINDS:
         raise MoveError(f"unknown move kind {kind!r}")
@@ -295,12 +303,8 @@ def find_moves(t: Triangulation, kind: str) -> list[MoveDescriptor]:
     out = []
     for six, present in t.six_sets.items():
         if len(present) == k:
-            d = MoveDescriptor(kind, present, six)
-            try:
-                _move_parts(t, d)
-            except MoveError:
-                continue
-            out.append(d)
+            if _obstruction(t, six, present) is None:
+                out.append(MoveDescriptor(kind, present, six))
     return out
 
 

@@ -178,6 +178,41 @@ class TestFrobenius:
                          "--m2", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--m", "10000000000"), "--m"),
+        (("--m", "20000"), "--m"),
+        (("--m", "14285"), "--m"),
+        (("--m1", "14283", "--m2", "14284"), "--m1/--m2"),
+    ], ids=["m-1e10", "m-20000", "m-14285", "m1-m2"])
+    def test_unprintable_exponent_is_usage_error(self, capsys, argv, flag):
+        # 2^14285 has 4301 digits, past the interpreter's printing limit
+        code, out, err = run(capsys, "frobenius", "--p", "2", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag} too large")
+
+    def test_largest_printable_exponent_prints(self, capsys):
+        doc = run_json(capsys, "frobenius", "--p", "2", "--m", "14284")
+        assert doc["degree"] == 2 ** 14284 + 1
+
+    @pytest.mark.parametrize("digits", [5000, 0], ids=["raised", "unlimited"])
+    def test_exponent_limit_follows_the_interpreter(self, capsys, digits):
+        # -X int_max_str_digits or PYTHONINTMAXSTRDIGITS, set in process
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(digits)
+        try:
+            doc = run_json(capsys, "frobenius", "--p", "2", "--m", "14285")
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert doc["degree"] == 2 ** 14285 + 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--p", "4", "--m", "20000"), "error: 4 is not prime\n"),
+        (("--p", "2", "--m1", "-1", "--m2", "20000"), "error: exponents must be >= 0\n"),
+    ], ids=["composite", "negative"])
+    def test_other_faults_come_before_the_size(self, capsys, argv, message):
+        code, out, err = run(capsys, "frobenius", *argv)
+        assert (code, out, err) == (1, "", message)
+
 
 class TestCompareAndManifold:
     def test_compare_s4(self, capsys):
@@ -353,6 +388,18 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("invariant", "--manifold", "s4", "--mode", "prob"), 3),
+        (("frobenius", "--m", "0"), 0),
+    ], ids=["invariant", "frobenius"])
+    def test_large_prime_answers_at_once(self, capsys, argv, expected):
+        # trial division up to sqrt(2^61 - 1) would not finish
+        code, _, _ = run(capsys, *argv, "--p", str(2 ** 61 - 1))
+        assert code == expected
+        code, out, err = run(capsys, *argv, "--p", str(gf.PRIME_BOUND + 2))
+        assert code == 1 and out == ""
+        assert err == f"error: primality is decided only below {gf.PRIME_BOUND}\n"
 
 
 class TestDeterminism:

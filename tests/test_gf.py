@@ -1,17 +1,42 @@
 """Finite field construction and arithmetic, checked exhaustively for q <= 16."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexaform.gf import (GF, FieldError, frobenius_power, gf_nullspace,
+from hexaform.gf import (GF, PRIME_BOUND, FieldError, frobenius_power, gf_nullspace,
                          is_prime, make_field)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
                 (3, 2), (11, 1), (13, 1), (2, 4)]
 
 
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert [n for n in range(10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,  # Carmichael
+    56052361, 118901521,  # Chernick: a^((n-1)/2) = 1 for every base a prime to n
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+])  # then the smallest strong pseudoprimes to all of the first k prime bases, k <= 12
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_decides_large_primes_up_to_its_bound():
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    assert not is_prime((2 ** 61 - 1) * (2 ** 19 - 1))
+    with pytest.raises(FieldError, match=str(PRIME_BOUND)):
+        is_prime(PRIME_BOUND)
 
 
 def test_rejects_composite_characteristic():

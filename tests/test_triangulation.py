@@ -279,11 +279,23 @@ def _cp2_scripted() -> Triangulation:
     return t
 
 
+def _hung_triangle() -> Triangulation:
+    # a valid 3-3 on a sphere, and one more pentachoron hung on its core
+    # triangle by two fresh vertices: the 3-3 is now blocked by its core
+    t = boundary_delta5()
+    for kind in ("1-5", "2-4"):
+        t = apply_move(t, find_moves(t, kind)[0])
+    d = find_moves(t, "3-3")[0]
+    core = set(d.six_vertices).intersection(*(t.pentachora[i] for i in d.target))
+    fresh = max(t.vertex_ids) + 1
+    return Triangulation("hung", t.pentachora + (tuple(sorted(core)) + (fresh, fresh + 1),))
+
+
 MOVE_INPUTS = [boundary_delta5, lambda: builtin_manifold("cp2"), cp2_walk,
                lambda: cp2_walk(seed=3, n=14), lambda: _reversed(cp2_walk()), open_cp2,
-               lambda: product_manifold("s2xs2"), _cp2_scripted]
+               lambda: product_manifold("s2xs2"), _cp2_scripted, _hung_triangle]
 MOVE_IDS = ["s4", "cp2", "cp2-walk10", "cp2-walk3", "cp2-walk10-reversed", "cp2-open",
-            "s2xs2", "cp2-scripted"]
+            "s2xs2", "cp2-scripted", "s4-hung-triangle"]
 
 
 class TestMoveSearchAgainstScan:
@@ -300,12 +312,25 @@ class TestMoveSearchAgainstScan:
     def test_every_descriptor_has_the_same_outcome(self, make):
         t = make()
         seen = set()
+        blocked = set()  # which part of the move the interior simplex is
         for d in _candidates(t):
             new = _outcome(tri._move_parts, t, d)
             assert new == _outcome(scan_move_parts, t, d), d
             seen.add(new[0])
+            if new[0] is tri.LinkConditionViolation and new[1].startswith("interior simplex "):
+                named = new[1].removeprefix("interior simplex ").split(" meets")[0]
+                sigma = tri._obstruction(t, tuple(sorted(d.six_vertices)), d.target)
+                assert named == str(sigma), d
+                # the core lies in every target, the omitted set in none whole
+                blocked.add("core" if all(set(sigma) <= set(t.pentachora[i]) for i in d.target)
+                            else "omitted")
         assert {"ok", tri.StaleVertex, tri.LinkConditionViolation,
                 tri.ConfigurationNotFound} <= seen
+        # the first simplex that fails is the core or the omitted set.  In
+        # the targets the core's link is the sphere bounding the omitted
+        # simplex; on a manifold its whole link is a sphere or a ball, so it
+        # is that sphere, and only a non-manifold has a larger core star
+        assert blocked == ({"core", "omitted"} if make is _hung_triangle else {"omitted"})
 
     def test_inputs_offer_the_rare_kinds_or_none(self):
         t = _cp2_scripted()
