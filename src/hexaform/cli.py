@@ -210,7 +210,7 @@ def cmd_frobenius(args) -> int:
         "polynomial": str(c),
     }
     if args.check or args.reference_cubic:
-        report["cocycle"] = is_hexagon_cocycle(c, make_field(c.p), args.cap)
+        report["cocycle"] = is_hexagon_cocycle(c, make_field(c.p))
     _emit(report, args.out)
     return EXIT_OK
 
@@ -296,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="decide the hexagon cocycle property exactly, by reducing the "
                         "facet sum as a polynomial on the permitted colorings")
-    p.add_argument("--cap", type=int, default=None,
-                   help="refuse (exit 3) when the coloring space has more points than "
-                        "this (default 10^7, or HEXAFORM_CAP)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     # the polynomial has GF(p) coefficients: its spec is over the prime field
     p.set_defaults(func=cmd_frobenius, n=1)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import GF, FieldError, is_prime
-from .invariants import capped_space
+from .gf import GF, FieldError, is_prime, make_field
+from .hexagon import permitted_space
 from .mpoly import MPoly, linear_combination
 from .triangulation import boundary_delta5, faces
 
@@ -78,8 +78,7 @@ def reference_cubic() -> CocyclePolynomial:
     return CocyclePolynomial(2, poly)
 
 
-def is_hexagon_cocycle(c: CocyclePolynomial, field: GF,
-                       cap: int | None = None) -> bool:
+def is_hexagon_cocycle(c: CocyclePolynomial, field: GF) -> bool:
     """Decide whether the alternating facet sum of the polynomial vanishes
     on every permitted coloring of the boundary of the 5-simplex.
 
@@ -88,14 +87,21 @@ def is_hexagon_cocycle(c: CocyclePolynomial, field: GF,
     with every exponent reduced by x^q = x after each product.  A
     polynomial function on GF(q)^d vanishes exactly when that reduction is
     the zero polynomial, so the answer is exact without evaluating a
-    single coloring.  Spaces past the cap are still refused.
+    single coloring.
+
+    The forms have GF(p) coefficients, so Frobenius is additive on them:
+    (sum a_i x_i)^(p^j) = sum a_i x_i^(p^j), and x^(p^j) = x^(p^(j mod n))
+    on GF(p^n).  A power e of a form is therefore the product, over the
+    base-p digits of e, of those twisted forms raised to the digit, and
+    the check's cost follows the digits of the exponents, not their size.
     """
     if field.p != c.p:
         raise ValueError("field characteristic must match the polynomial")
     s4 = boundary_delta5()
-    space, _ = capped_space(s4, field.p, field.n, cap)
+    # the GF(p) basis is the GF(q) one
+    space = permitted_space(s4, make_field(field.p))
     d = space.dim
-    p, q = field.p, field.q
+    p, n, q = field.p, field.n, field.q
     coords = tuple(f"a{i}" for i in range(d))
     unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     # the basis entries are residues mod p: GF(p) coefficients
@@ -105,14 +111,15 @@ def is_hexagon_cocycle(c: CocyclePolynomial, field: GF,
 
     def power(tet, e: int) -> MPoly:
         if (tet, e) not in powers:
-            if e == 1:
-                powers[tet, e] = linear[tet]
-            else:
-                half = power(tet, e // 2)
-                out = (half * half).reduce_exponents(q)
-                if e % 2:
-                    out = (out * linear[tet]).reduce_exponents(q)
-                powers[tet, e] = out
+            out, j, rest = None, 0, e
+            while rest:
+                rest, digit = divmod(rest, p)
+                if digit:
+                    twisted = linear[tet].raise_exponents(p ** (j % n)) if j % n else linear[tet]
+                    for _ in range(digit):
+                        out = twisted if out is None else (out * twisted).reduce_exponents(q)
+                j += 1
+            powers[tet, e] = out
         return powers[tet, e]
 
     acc = MPoly.zero(coords, p)

@@ -21,7 +21,7 @@ from math import prod
 
 from . import linalg
 from .gf import GF, FieldError, _decode, make_field
-from .hexagon import PermittedSpace, _gram, permitted_space
+from .hexagon import _gram, permitted_space
 from .triangulation import Triangulation
 
 DEFAULT_CAP = 10_000_000
@@ -48,22 +48,6 @@ def enumeration_cap(explicit: int | None = None) -> int:
     if cap < 0:
         raise ValueError(f"{source} must be >= 0, got {cap}")
     return cap
-
-
-def capped_space(t: Triangulation, p: int, n: int,
-                 cap: int | None = None) -> tuple[PermittedSpace, int]:
-    """The permitted space of t over GF(p^n) and its number of colorings
-    (p^n)^dim, refused past the cap.  The space is solved over GF(p), whose
-    basis is the GF(p^n) one, so GF(p^n) itself is never built for a
-    refusal: finding its modulus takes time exponential in n."""
-    if n < 1:
-        raise FieldError("extension degree must be >= 1")
-    limit = enumeration_cap(cap)
-    space = permitted_space(t, make_field(p))
-    total = (p ** n) ** space.dim
-    if total > limit:
-        raise CapExceeded(total, limit)
-    return space, total
 
 
 # --- congruence invariants of the integral form ----------------------------
@@ -399,14 +383,22 @@ def probability_distribution(t: Triangulation, spec: FrobeniusSpec,
     commutes with the integer constraint matrix, so both halves stay
     permitted).  Value model "field" multiplies in GF(p^n); "tensor" takes
     coefficientwise outer products, landing in n x n matrices over GF(p).
-    The counts come in closed form from the Gram matrix mod p; the space
-    is still refused past the cap.
+    The counts come in closed form from the Gram matrix mod p.  The space
+    is solved over GF(p), whose basis is the GF(p^n) one, and refused past
+    the cap before GF(p^n) itself is built: finding its modulus takes time
+    exponential in n.
     """
     if value_model not in ("field", "tensor"):
         raise ValueError(f"unknown value model {value_model!r}")
     if t.signs is None:
         raise ValueError("triangulation must be oriented (signs missing)")
-    space, total = capped_space(t, spec.p, spec.n, cap)
+    if spec.n < 1:
+        raise FieldError("extension degree must be >= 1")
+    limit = enumeration_cap(cap)
+    space = permitted_space(t, make_field(spec.p))
+    total = (spec.p ** spec.n) ** space.dim
+    if total > limit:
+        raise CapExceeded(total, limit)
     counts = _value_counts(_gram(t, space), spec, value_model)
     return ValueDistribution(value_model, spec, counts, total)
 

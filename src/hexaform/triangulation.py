@@ -308,23 +308,6 @@ def find_moves(t: Triangulation, kind: str) -> list[MoveDescriptor]:
     return out
 
 
-def _perm_parity(perm: list[int]) -> int:
-    seen = [False] * len(perm)
-    parity = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
-
-
 def relabel(t: Triangulation, mapping: dict[int, int]) -> Triangulation:
     """Rename vertices by a bijection; signs are adjusted by the parity of
     the sorting permutation so the orientation class is preserved."""
@@ -334,11 +317,8 @@ def relabel(t: Triangulation, mapping: dict[int, int]) -> Triangulation:
     parities = []
     for u in t.pentachora:
         img = [mapping.get(v, v) for v in u]
-        order = sorted(range(5), key=lambda i: img[i])
-        perm = [0] * 5
-        for newpos, oldpos in enumerate(order):
-            perm[oldpos] = newpos
-        parities.append(_perm_parity(perm))
+        # bubble-sorting img swaps one adjacent pair per inversion
+        parities.append((-1) ** sum(a > b for a, b in combinations(img, 2)))
         new_pents.append(tuple(sorted(img)))
     order = sorted(range(len(new_pents)), key=lambda i: new_pents[i])
     pents = tuple(new_pents[i] for i in order)
@@ -438,8 +418,8 @@ def from_dict(doc: dict, source: str = "<dict>") -> Triangulation:
         raise MalformedFile(f"{source}: {exc}") from exc
     if signs is not None:
         # coherent signs on a disconnected complex: DisconnectedError, as
-        # orient raises for a file without signs
-        orient(t.without_signs(), 0, signs[0])
+        # orient raises for a file without signs; orient ignores t's signs
+        orient(t)
     return t
 
 

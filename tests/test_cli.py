@@ -193,6 +193,14 @@ class TestFrobenius:
     def test_largest_printable_exponent_prints(self, capsys):
         doc = run_json(capsys, "frobenius", "--p", "2", "--m", "14284")
         assert doc["degree"] == 2 ** 14284 + 1
+        checked = run_json(capsys, "frobenius", "--p", "2", "--m", "14284", "--check")
+        assert checked == {**doc, "cocycle": True}
+
+    @pytest.mark.parametrize("p, m", [(7, 0), (13, 1), (101, 3), (2, 1100)])
+    def test_check_answers_for_any_frobenius_power(self, capsys, p, m):
+        # (sum a_i x_i)^(p^m) over GF(p) is a form, checked in one step
+        doc = run_json(capsys, "frobenius", "--p", str(p), "--m", str(m), "--check")
+        assert doc["degree"] == p ** m + 1 and doc["cocycle"] is True
 
     @pytest.mark.parametrize("digits", [5000, 0], ids=["raised", "unlimited"])
     def test_exponent_limit_follows_the_interpreter(self, capsys, digits):
@@ -277,8 +285,7 @@ class TestExitCodes:
         ("invariant", "--manifold", "s4", "--mode", "prob", "--p", "2"),
         ("verify", "--manifold", "s4", "--mode", "prob", "--p", "2", "--random", "1",
          "--seed", "1"),
-        ("frobenius", "--p", "2", "--m", "0", "--check"),
-    ], ids=["invariant", "verify", "frobenius"])
+    ], ids=["invariant", "verify"])
     def test_negative_cap_flag_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--cap", "-1")
         assert code == 1 and out == ""
@@ -485,11 +492,20 @@ def test_cli_reduces_no_basis_to_hermite_form(capsys, monkeypatch):
 
 
 def test_import_leaves_numpy_out():
-    # numpy backs only the GF lookup tables, imported when one is built
+    # numpy backs only the GF lookup tables, imported when one is built; the
+    # commands run with it blocked, so it is no runtime dependency
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, hexaform.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    script = (
+        "import sys, hexaform.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.modules['numpy'] = None\n"
+        "for argv in [['invariant', '--manifold', 's4', '--mode', 'prob', '--p', '2',\n"
+        "              '--n', '2', '--m', '1'],\n"
+        "             ['frobenius', '--p', '3', '--m', '1', '--check']]:\n"
+        "    assert hexaform.cli.main(argv) == 0, argv\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.startswith("False\n")
+    assert '"distribution": {' in out and '"cocycle": true' in out

@@ -6,7 +6,6 @@ from hexaform.cocycles import (FACE_VARIABLES, GREEK_COEFFS, LATIN_COEFFS,
                                is_hexagon_cocycle, reference_cubic, specialize,
                                specialize_double, CocyclePolynomial)
 from hexaform.gf import make_field
-from hexaform.invariants import CapExceeded
 from hexaform.mpoly import MPoly, linear_combination
 from oracles import enumerated_cocycle_check
 
@@ -142,10 +141,6 @@ class TestIsHexagonCocycle:
         with pytest.raises(ValueError):
             is_hexagon_cocycle(specialize(2, 0), make_field(3))
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            is_hexagon_cocycle(specialize(2, 0), make_field(2), cap=100)
-
 
 SPECIALIZATIONS = [(p, m1, m2) for p in (2, 3, 5) for m1 in range(3) for m2 in range(3)]
 
@@ -177,6 +172,33 @@ class TestSymbolicAgainstEnumeration:
         assert is_hexagon_cocycle(c, f) is enumerated_cocycle_check(c, f) is True
         bad = _perturbed(c)
         assert is_hexagon_cocycle(bad, f) is enumerated_cocycle_check(bad, f) is False
+
+
+class TestDigitPowers:
+    """Face exponents with several nonzero base-p digits, some at j >= n.
+    x^e y^f minus its exponent-reduced form is the zero function, so its
+    facet sum vanishes only if the check reduces both powers alike."""
+
+    # the oracle holds q^dim = q^9 values, so q stays small
+    @pytest.mark.parametrize("p,n,e1,e2", [
+        (2, 1, 6, 3), (2, 2, 5, 7), (2, 2, 13, 11), (3, 1, 14, 5), (5, 1, 31, 7),
+    ])
+    def test_against_enumeration(self, p, n, e1, e2):
+        f = make_field(p, n)
+        mono = v("x_jklm", p) ** e1 * v("x_ijkl", p) ** e2
+        c = CocyclePolynomial(p, mono - mono.reduce_exponents(f.q))
+        assert is_hexagon_cocycle(c, f) is enumerated_cocycle_check(c, f) is True
+        bad = CocyclePolynomial(p, mono)
+        assert is_hexagon_cocycle(bad, f) is enumerated_cocycle_check(bad, f) is False
+
+    # m = 1100 is past the default recursion limit of a squaring recursion
+    @pytest.mark.parametrize("p,n,m", [(2, 1, 1100), (2, 2, 1101), (3, 2, 1001), (101, 1, 3)])
+    def test_large_frobenius_exponents(self, p, n, m):
+        f = make_field(p, n)
+        assert is_hexagon_cocycle(specialize(p, m), f)
+        assert not is_hexagon_cocycle(_perturbed(specialize(p, m)), f)
+        mono = v("x_iklm", p) ** (p ** m + p ** (m // 2) + 1)
+        assert is_hexagon_cocycle(CocyclePolynomial(p, mono - mono.reduce_exponents(f.q)), f)
 
 
 def test_reduce_exponents():
