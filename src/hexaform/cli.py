@@ -131,11 +131,7 @@ def cmd_verify(args) -> int:
             return form_invariants(g.matrix), g.dim
         spec = _frobenius_spec(args)
         dist = probability_distribution(s, spec, args.model, args.cap)
-        # the distribution counts all q**dim colorings
-        q, dim = spec.p ** spec.n, 0
-        while q ** dim < dist.total:
-            dim += 1
-        return dist, dim
+        return dist, dist.dim
 
     base, dim = snapshot(t)
     steps = []
@@ -191,8 +187,8 @@ def _check_printable(spec: FrobeniusSpec) -> None:
 
 def cmd_frobenius(args) -> int:
     if args.reference_cubic:
-        if args.m is not None or args.m1 is not None or args.m2 is not None:
-            raise UsageError("--reference-cubic takes no Frobenius exponents")
+        if any(x is not None for x in (args.p, args.m, args.m1, args.m2)):
+            raise UsageError("--reference-cubic is over GF(2) and takes no --p or exponents")
         c = reference_cubic()
         mode = {"kind": "reference-cubic"}
     else:

@@ -122,7 +122,7 @@ def _smallest_modulus(p: int, n: int) -> Poly:
 class GF:
     """The field GF(p^n) with the canonical (lex-smallest) modulus."""
 
-    def __init__(self, p: int, n: int = 1, modulus: Poly | None = None):
+    def __init__(self, p: int, n: int = 1):
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         if n < 1:
@@ -130,22 +130,17 @@ class GF:
         self.p = p
         self.n = n
         self.q = p ** n
-        self.modulus = tuple(modulus) if modulus is not None else _smallest_modulus(p, n)
-        if len(self.modulus) != n + 1 or self.modulus[-1] != 1:
-            raise FieldError("modulus must be monic of degree n")
-        if not _irreducible(self.modulus, p):
-            raise FieldError("modulus is reducible")
+        self.modulus = _smallest_modulus(p, n)
         self._tables: dict = {}
 
     def __repr__(self):
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
 
     def __eq__(self, other):
-        return (isinstance(other, GF) and self.p == other.p and self.n == other.n
-                and self.modulus == other.modulus)
+        return isinstance(other, GF) and (self.p, self.n) == (other.p, other.n)
 
     def __hash__(self):
-        return hash((self.p, self.n, self.modulus))
+        return hash((self.p, self.n))
 
     # --- code-level arithmetic -------------------------------------------
 

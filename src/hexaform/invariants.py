@@ -25,13 +25,20 @@ from .hexagon import _gram, permitted_space
 from .triangulation import Triangulation
 
 DEFAULT_CAP = 10_000_000
+# `_value_counts` holds p^k sums, k = n (field model) or n^2 (tensor), and its
+# inverse transform takes about k * p^(k+2) steps whatever the cap: p^(k+2) past
+# this is refused (cp2 over GF(211), 211^3 ~ 9.4 * 10^6, answers in 0.3 s)
+TRANSFORM_BOUND = 10_000_000
 
 
 class CapExceeded(RuntimeError):
-    def __init__(self, required: int, cap: int):
-        super().__init__(f"enumeration needs {required} colorings, cap is {cap}")
-        self.required = required
-        self.cap = cap
+    pass
+
+
+def _power_exceeds(p: int, e: int, bound: int) -> bool:
+    """p^e > bound for p >= 2; as p^e >= 2^(e * (p.bit_length() - 1)), no
+    power is computed more than twice as long as the bound."""
+    return e * (p.bit_length() - 1) > bound.bit_length() or p ** e > bound
 
 
 def enumeration_cap(explicit: int | None = None) -> int:
@@ -155,13 +162,11 @@ class ValueDistribution:
     model: str                 # "field" | "tensor"
     spec: FrobeniusSpec
     counts: tuple              # sorted tuple of (key, count); key is an int code
-    total: int
+    dim: int                   # the counts cover all of GF(p^n)^dim
 
-    def probability(self, key: int) -> Fraction:
-        for k, c in self.counts:
-            if k == key:
-                return Fraction(c, self.total)
-        return Fraction(0)
+    @property
+    def total(self) -> int:
+        return (self.spec.p ** self.spec.n) ** self.dim
 
     def probabilities(self) -> dict[int, Fraction]:
         return {k: Fraction(c, self.total) for k, c in self.counts}
@@ -383,10 +388,10 @@ def probability_distribution(t: Triangulation, spec: FrobeniusSpec,
     commutes with the integer constraint matrix, so both halves stay
     permitted).  Value model "field" multiplies in GF(p^n); "tensor" takes
     coefficientwise outer products, landing in n x n matrices over GF(p).
-    The counts come in closed form from the Gram matrix mod p.  The space
-    is solved over GF(p), whose basis is the GF(p^n) one, and refused past
-    the cap before GF(p^n) itself is built: finding its modulus takes time
-    exponential in n.
+    The counts come in closed form from the Gram matrix mod p; a request
+    past TRANSFORM_BOUND is refused before the kernel.  The space is solved
+    over GF(p), whose basis is the GF(p^n) one, and refused past the cap
+    before GF(p^n) is built: finding its modulus takes time exponential in n.
     """
     if value_model not in ("field", "tensor"):
         raise ValueError(f"unknown value model {value_model!r}")
@@ -395,12 +400,17 @@ def probability_distribution(t: Triangulation, spec: FrobeniusSpec,
     if spec.n < 1:
         raise FieldError("extension degree must be >= 1")
     limit = enumeration_cap(cap)
-    space = permitted_space(t, make_field(spec.p))
-    total = (spec.p ** spec.n) ** space.dim
-    if total > limit:
-        raise CapExceeded(total, limit)
+    prime_field = make_field(spec.p)
+    k = spec.n if value_model == "field" else spec.n ** 2
+    if _power_exceeds(spec.p, k + 2, TRANSFORM_BOUND):
+        raise CapExceeded(f"the value counts need {spec.p}^{k + 2} transform steps, "
+                          f"bound is {TRANSFORM_BOUND}")
+    space = permitted_space(t, prime_field)
+    if _power_exceeds(spec.p, spec.n * space.dim, limit):
+        raise CapExceeded(f"enumeration needs {spec.p}^{spec.n * space.dim} colorings, "
+                          f"cap is {limit}")
     counts = _value_counts(_gram(t, space), spec, value_model)
-    return ValueDistribution(value_model, spec, counts, total)
+    return ValueDistribution(value_model, spec, counts, space.dim)
 
 
 def distribution_equal(d1: ValueDistribution, d2: ValueDistribution) -> tuple[bool, list[str]]:

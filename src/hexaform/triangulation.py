@@ -143,24 +143,19 @@ class Triangulation:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(c) for d, c in enumerate(self.counts)) + len(self.index)
 
-    def without_signs(self) -> "Triangulation":
-        return replace(self, signs=None)
 
-
-def orient(t: Triangulation, anchor: int = 0, anchor_sign: int = 1) -> Triangulation:
-    """Fill in coherent orientation signs, fixing the anchor pentachoron.
+def _coherent_signs(t: Triangulation) -> tuple[int, ...]:
+    """Coherent signs for t, +1 on its first pentachoron (t's own ignored).
 
     Two pentachora sharing a tetrahedron must induce opposite orientations
     on it: sign_u * (-1)^pos_u = -sign_u' * (-1)^pos_u'.  Raises
     NonOrientableError if no coherent assignment exists and
     DisconnectedError if the complex is not face-connected.
     """
-    n = len(t.pentachora)
-    if n == 0:
+    if not t.pentachora:
         raise TriangulationError("empty triangulation")
-    signs = [0] * n
-    signs[anchor] = anchor_sign
-    stack = [anchor]
+    signs = [1] + [0] * (len(t.pentachora) - 1)
+    stack = [0]
     while stack:
         ui = stack.pop()
         for pos, tet in enumerate(faces(t.pentachora[ui])):
@@ -177,18 +172,19 @@ def orient(t: Triangulation, anchor: int = 0, anchor_sign: int = 1) -> Triangula
                 raise NonOrientableError(f"{t.name}: no coherent orientation exists")
     if any(s == 0 for s in signs):
         raise DisconnectedError(f"{t.name}: complex is not connected")
-    return replace(t, signs=tuple(signs))
+    return tuple(signs)
+
+
+def orient(t: Triangulation) -> Triangulation:
+    """t with coherent orientation signs, +1 on its first pentachoron."""
+    return replace(t, signs=_coherent_signs(t))
 
 
 def boundary_delta5() -> Triangulation:
-    """The 6-pentachoron sphere S^4 (facets of a 5-simplex), oriented.
-
-    Facets are listed by omitted vertex; the facet omitting vertex i gets
-    sign (-1)^i.
-    """
-    verts = tuple(range(6))
-    pents = tuple(tuple(v for v in verts if v != i) for i in range(6))
-    return orient(Triangulation("s4", pents))
+    """The 6-pentachoron sphere S^4: the facets of a 5-simplex, the one
+    omitting vertex i listed i-th with sign (-1)^i (see `apply_move`)."""
+    pents = tuple(tuple(v for v in range(6) if v != i) for i in range(6))
+    return Triangulation("s4", pents, tuple((-1) ** i for i in range(6)))
 
 
 @dataclass(frozen=True)
@@ -265,21 +261,23 @@ def _move_parts(t: Triangulation, d: MoveDescriptor):
 
 def apply_move(t: Triangulation, d: MoveDescriptor) -> Triangulation:
     """Replace the k target pentachora by the complementary 6-k facets of
-    the same del-Delta^5.  Orientation signs are re-propagated from a
-    surviving pentachoron when the input carries signs."""
-    _, after = _move_parts(t, d)
-    target = set(d.target)
-    kept = [(i, u) for i, u in enumerate(t.pentachora) if i not in target]
-    new_pents = sorted([u for _, u in kept] + after)
-    out = Triangulation(t.name, tuple(new_pents))
+    the same del-Delta^5.  A signed input keeps its orientation class: in
+    one coherent orientation of del-Delta^5 the facet omitting six[i] has
+    sign (-1)^i, so the targets carry eps * (-1)^i for one eps, and the
+    replacements, glued along the same boundary, carry -eps * (-1)^i."""
+    before, after = _move_parts(t, d)
+    kept = [i for i in range(len(t.pentachora)) if i not in d.target]
+    pents = [t.pentachora[i] for i in kept] + after
+    order = sorted(range(len(pents)), key=pents.__getitem__)
+    signs = None
     if t.signs is not None:
-        if kept:
-            anchor_old_idx, anchor_pent = kept[0]
-            out = orient(out, anchor=out.index[anchor_pent],
-                         anchor_sign=t.signs[anchor_old_idx])
-        else:
-            out = orient(out)
-    return out
+        six = sorted(d.six_vertices)
+        alt = [(-1) ** six.index(sum(six) - sum(u)) for u in before[:1] + after]
+        eps = t.signs[d.target[0]] * alt[0]
+        new = [t.signs[i] for i in kept] + [-eps * a for a in alt[1:]]
+        signs = tuple(new[i] for i in order)
+    # the constructor's coherence check verifies the rule
+    return Triangulation(t.name, tuple(pents[i] for i in order), signs)
 
 
 def find_moves(t: Triangulation, kind: str) -> list[MoveDescriptor]:
@@ -418,8 +416,8 @@ def from_dict(doc: dict, source: str = "<dict>") -> Triangulation:
         raise MalformedFile(f"{source}: {exc}") from exc
     if signs is not None:
         # coherent signs on a disconnected complex: DisconnectedError, as
-        # orient raises for a file without signs; orient ignores t's signs
-        orient(t)
+        # orient raises for a file without signs
+        _coherent_signs(t)
     return t
 
 

@@ -467,7 +467,7 @@ def enumerated_distribution(t: Triangulation, spec: FrobeniusSpec,
     total = field.q ** d
     limit = enumeration_cap(cap)
     if total > limit:
-        raise CapExceeded(total, limit)
+        raise CapExceeded(f"enumeration needs {field.q}^{d} colorings, cap is {limit}")
 
     # reference-counted per-tetrahedron value arrays
     need: dict = {}
@@ -509,7 +509,7 @@ def enumerated_distribution(t: Triangulation, spec: FrobeniusSpec,
             s_vals = add[s_vals, prod].astype(np.int16)
         counts = np.bincount(s_vals, minlength=field.q)
         entries = tuple((int(k), int(c)) for k, c in enumerate(counts) if c)
-        return ValueDistribution("field", spec, entries, total)
+        return ValueDistribution("field", spec, entries, d)
 
     # tensor model: accumulate each coefficient of the outer product mod p
     n = field.n
@@ -535,7 +535,7 @@ def enumerated_distribution(t: Triangulation, spec: FrobeniusSpec,
             weight *= p
     values, counts = np.unique(key, return_counts=True)
     entries = tuple((int(k), int(c)) for k, c in zip(values, counts))
-    return ValueDistribution("tensor", spec, entries, total)
+    return ValueDistribution("tensor", spec, entries, d)
 
 
 def brute_force_counts(m, spec, value_model):
@@ -572,15 +572,25 @@ def brute_force_counts(m, spec, value_model):
 # --- cocycle checks by evaluation on every coloring -----------------------
 
 
+# the enumerated cocycle check holds about 15 int64 arrays of q^dim entries
+# (dim = 9): GF(5)'s 5^9 ~ 1.95 * 10^6, the largest field it is given, takes
+# about 250 MB, and GF(9)'s 9^9 would take over 40 GB
+ENUMERATION_BOUND = 2_000_000
+
+
 def enumerated_cocycle_check(c, field: GF) -> bool:
     """Evaluate the alternating facet sum of the polynomial on every
     permitted coloring of the boundary of the 5-simplex.  Each facet's
     value is looked up in a table of the polynomial on all of GF(q)^5,
-    filled by evaluating it point by point in field arithmetic."""
+    filled by evaluating it point by point in field arithmetic.  ValueError
+    past ENUMERATION_BOUND colorings, before anything is allocated."""
     from hexaform.cocycles import FACE_VARIABLES
     s4 = boundary_delta5()
     space = permitted_space(s4, field)
     q = field.q
+    if q ** space.dim > ENUMERATION_BOUND:
+        raise ValueError(f"enumeration needs {q}^{space.dim} colorings, "
+                         f"bound is {ENUMERATION_BOUND}")
     tet_vals = {tet: _enumerate_functional(field, [vec[i] for vec in space.basis])
                 .astype(np.int64) for i, tet in enumerate(space.tets)}
     table = []

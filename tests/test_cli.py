@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hexaform import gf, hexagon, linalg
+from hexaform import gf, hexagon, invariants, linalg
 from hexaform.cli import main
 from hexaform.gf import GFElem
 from hexaform.manifolds import builtin_manifold
@@ -173,6 +173,14 @@ class TestFrobenius:
         code, _, _ = run(capsys, "frobenius", "--m", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [("--p", "3"), ("--p", "2"), ("--m", "1"),
+                                      ("--m1", "0", "--m2", "1")],
+                             ids=["p3", "p2", "m", "m1-m2"])
+    def test_reference_cubic_takes_no_field_or_exponents(self, capsys, argv):
+        code, out, err = run(capsys, "frobenius", "--reference-cubic", *argv)
+        assert code == 1 and out == ""
+        assert err == "error: --reference-cubic is over GF(2) and takes no --p or exponents\n"
+
     def test_conflicting_modes(self, capsys):
         code, _, _ = run(capsys, "frobenius", "--p", "2", "--m", "1", "--m1", "0",
                          "--m2", "1")
@@ -301,7 +309,7 @@ class TestExitCodes:
     def test_cp2_answers_only_under_an_explicit_cap(self, capsys):
         argv = ("invariant", "--manifold", "cp2", "--mode", "prob", "--p", "2")
         code, _, err = run(capsys, *argv)
-        assert code == 3 and str(2 ** 28) in err
+        assert code == 3 and "2^28 colorings" in err
         doc = run_json(capsys, *argv, "--cap", str(2 ** 28))
         assert doc["distribution"]["entries"] == [{"value": "0", "count": str(2 ** 27)},
                                                   {"value": "1", "count": str(2 ** 27)}]
@@ -359,8 +367,9 @@ class TestExitCodes:
         ("verify", "--manifold", "s4", "--mode", "prob", "--random", "1", "--seed", "1"),
     ], ids=["invariant", "verify"])
     def test_cap_refuses_before_building_the_field(self, capsys, monkeypatch, argv):
-        # finding a degree-40 modulus by trial division would not finish;
-        # the refusal needs only the GF(p) space
+        # the refusal needs only the GF(p) space, not a degree-21 modulus
+        # found by trial division; 2^(21 + 2) is under the transform bound,
+        # so the coloring cap is what refuses
         irreducible = gf._irreducible
 
         def degree_one_only(m, p):
@@ -368,9 +377,35 @@ class TestExitCodes:
                 raise AssertionError("GF(p^n) built for a refusal")
             return irreducible(m, p)
         monkeypatch.setattr(gf, "_irreducible", degree_one_only)
-        code, out, err = run(capsys, *argv, "--p", "2", "--n", "40")
+        code, out, err = run(capsys, *argv, "--p", "2", "--n", "21")
         assert code == 3 and out == ""
-        assert err.startswith("cap exceeded: ")
+        assert err.startswith("cap exceeded: enumeration needs 2^")
+
+    @pytest.mark.parametrize("argv", [
+        ("--p", "2", "--n", "6", "--model", "tensor", "--cap", str(10 ** 56)),
+        ("--p", str(2 ** 61 - 1), "--cap", str(10 ** 189)),
+        ("--p", "1000003", "--cap", str(10 ** 189)),
+        ("--p", "2", "--n", "100000"),
+        ("--p", "2", "--n", "1000000000"),
+    ], ids=["gf64-tensor", "p-2^61-1", "p-1000003", "n-100000", "n-1e9"])
+    def test_huge_prob_request_refused_before_the_kernel(self, capsys, monkeypatch, argv):
+        # p^(k+2) past the transform bound, k = n or n^2: named, never computed
+        def no_kernel(*_):
+            raise AssertionError("kernel solved for a refusal")
+        monkeypatch.setattr(invariants, "permitted_space", no_kernel)
+        code, out, err = run(capsys, "invariant", "--manifold", "s4", "--mode", "prob", *argv)
+        assert code == 3 and out == ""
+        p, n = argv[1], int(argv[3]) if argv[2] == "--n" else 1
+        k = n * n if "tensor" in argv else n
+        assert err == (f"cap exceeded: the value counts need {p}^{k + 2} transform steps, "
+                       f"bound is {invariants.TRANSFORM_BOUND}\n")
+
+    def test_cp2_over_gf211_answers_under_a_raised_cap(self, capsys):
+        # 211^3 is under the transform bound
+        doc = run_json(capsys, "invariant", "--manifold", "cp2", "--mode", "prob",
+                       "--p", "211", "--cap", str(211 ** 28))
+        counts = [int(e["count"]) for e in doc["distribution"]["entries"]]
+        assert sum(counts) == int(doc["distribution"]["total"]) == 211 ** 28
 
     @given(doc=JSON_DOCUMENTS)
     @settings(max_examples=200, deadline=None,

@@ -7,7 +7,7 @@ from hexaform.cocycles import (FACE_VARIABLES, GREEK_COEFFS, LATIN_COEFFS,
                                specialize_double, CocyclePolynomial)
 from hexaform.gf import make_field
 from hexaform.mpoly import MPoly, linear_combination
-from oracles import enumerated_cocycle_check
+from oracles import ENUMERATION_BOUND, enumerated_cocycle_check
 
 
 def v(name, p):
@@ -172,6 +172,13 @@ class TestSymbolicAgainstEnumeration:
         assert is_hexagon_cocycle(c, f) is enumerated_cocycle_check(c, f) is True
         bad = _perturbed(c)
         assert is_hexagon_cocycle(bad, f) is enumerated_cocycle_check(bad, f) is False
+
+
+    def test_enumeration_refuses_a_large_field_at_once(self):
+        # GF(9) would need arrays of 9^9 entries; GF(5)'s 5^9 is the largest run
+        assert 5 ** 9 <= ENUMERATION_BOUND < 7 ** 9
+        with pytest.raises(ValueError, match=r"needs 9\^9 colorings"):
+            enumerated_cocycle_check(specialize_double(3, 0, 1), make_field(3, 2))
 
 
 class TestDigitPowers:

@@ -1,6 +1,7 @@
 """Constraint systems, permitted colorings, the cocycle and the action."""
 
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -256,7 +257,7 @@ class TestAction:
 
     def test_unoriented_rejected(self):
         with pytest.raises(ValueError):
-            pairing(boundary_delta5().without_signs(), (), [], slice(1, 5), slice(0, 4))
+            pairing(replace(boundary_delta5(), signs=None), (), [], slice(1, 5), slice(0, 4))
 
     @pytest.mark.parametrize("make", GRAM_INPUTS, ids=GRAM_IDS)
     def test_gram_matches_sum_of_phi(self, make):

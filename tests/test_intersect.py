@@ -1,6 +1,7 @@
 """Cup-product intersection form and the hexagon-form comparison probe."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -115,7 +116,7 @@ class TestCupGram:
 
     def test_orientation_reversal_negates(self):
         t = builtin_manifold("cp2")
-        flipped = orient(t.without_signs(), anchor=0, anchor_sign=-1)
+        flipped = replace(t, signs=tuple(-s for s in t.signs))
         g = cup_gram(t).matrix
         h = cup_gram(flipped).matrix
         assert h == tuple(tuple(-x for x in row) for row in g)
@@ -125,7 +126,7 @@ class TestCupGram:
 
     def test_unoriented_rejected(self):
         with pytest.raises(ValueError):
-            cup_gram(boundary_delta5().without_signs())
+            cup_gram(replace(boundary_delta5(), signs=None))
 
     def test_open_rejected(self):
         # coboundaries leave the radical once the fundamental chain has a boundary

@@ -130,9 +130,11 @@ class TestOrient:
     def test_single_pentachoron(self):
         assert orient(SINGLE).signs == (1,)
 
-    def test_anchor_sign(self):
-        t = orient(boundary_delta5().without_signs(), anchor=0, anchor_sign=-1)
-        assert t.signs == tuple(-s for s in boundary_delta5().signs)
+    def test_first_pentachoron_positive(self):
+        # orient ignores the signs it is given; negating them keeps coherence
+        s4 = boundary_delta5()
+        flipped = replace(s4, signs=tuple(-s for s in s4.signs))
+        assert orient(flipped).signs == orient(replace(s4, signs=None)).signs == s4.signs
 
     def test_non_orientable(self):
         with pytest.raises(tri.NonOrientableError):
@@ -220,6 +222,53 @@ class TestMoves:
             t = apply_move(t, pool[rng.randrange(len(pool))])
             assert t.is_closed()
             assert t.signs is not None
+
+    @pytest.mark.parametrize("make", [boundary_delta5, lambda: builtin_manifold("cp2"),
+                                      open_cp2, lambda: product_manifold("s2xs2")],
+                             ids=["s4", "cp2", "cp2-open", "s2xs2"])
+    def test_sign_rule_against_orient(self, make):
+        # 25 seeded walks of 10 moves each, half of them from the reversed
+        # orientation; the kind is drawn first so 4-2 and 5-1 moves occur
+        start = make()
+        for walk in range(25):
+            rng = random.Random(walk)
+            t = start if walk % 2 else replace(start, signs=tuple(-s for s in start.signs))
+            for _ in range(10):
+                pools = [m for m in (find_moves(t, kind) for kind in tri.MOVE_KINDS) if m]
+                pool = pools[rng.randrange(len(pools))]
+                d = pool[rng.randrange(len(pool))]
+                out = apply_move(t, d)
+                kept = {u: s for i, (u, s) in enumerate(zip(t.pentachora, t.signs))
+                        if i not in d.target}
+                assert all(out.signs[out.index[u]] == s for u, s in kept.items())
+                oracle = orient(replace(out, signs=None)).signs
+                assert out.signs in (oracle, tuple(-s for s in oracle))
+                assert apply_move(replace(t, signs=None), d) == replace(out, signs=None)
+                t = out
+
+    def test_class_kept_when_every_pentachoron_is_a_target(self):
+        # a lone pentachoron: no kept sign anchors the result
+        plus, minus = replace(SINGLE, signs=(1,)), replace(SINGLE, signs=(-1,))
+        d = find_moves(plus, "1-5")[0]
+        coned = apply_move(minus, d)
+        assert coned.signs == tuple(-s for s in apply_move(plus, d).signs)
+        assert apply_move(coned, find_moves(coned, "5-1")[0]).signs == (-1,)
+
+    def test_one_triangulation_per_move_and_no_orient(self, monkeypatch):
+        t = apply_move(boundary_delta5(), find_moves(boundary_delta5(), "1-5")[0])
+        d = find_moves(t, "2-4")[0]
+        built = []
+        init = Triangulation.__post_init__
+        monkeypatch.setattr(Triangulation, "__post_init__",
+                            lambda self: built.append(self) or init(self))
+
+        def no_orient(_):
+            raise AssertionError("orientation search called")
+
+        monkeypatch.setattr(tri, "_coherent_signs", no_orient)
+        out, s4 = apply_move(t, d), boundary_delta5()
+        assert built == [out, s4]
+        assert s4.signs == (1, -1, 1, -1, 1, -1)
 
     def test_regression_after_union_check(self):
         # this exact sequence once produced an overshared tetrahedron because
@@ -381,7 +430,7 @@ class TestIncidenceTable:
                 verts = sorted(t.vertex_ids)
                 t = relabel(t, dict(zip(verts, rng.sample(range(2 * len(verts)), len(verts)))))
             elif step % 4 == 2:
-                t = t.without_signs()
+                t = replace(t, signs=None)
             else:
                 t = orient(t)
 
@@ -400,7 +449,7 @@ class TestRelabelIsomorphic:
         t = boundary_delta5()
         swapped = relabel(t, {0: 1, 1: 0})
         # a transposition reverses every pentachoron containing both vertices
-        assert isomorphic(swapped.without_signs(), t.without_signs())
+        assert isomorphic(replace(swapped, signs=None), replace(t, signs=None))
         for u, s in zip(swapped.pentachora, swapped.signs):
             orig = tuple(sorted({0: 1, 1: 0}.get(v, v) for v in u))
             expect = -1 if {0, 1} <= set(u) else 1
